@@ -9,14 +9,11 @@
 // applied in place on the (stable, shared_ptr-held) admitter objects so the
 // read path picks them up without a snapshot rebuild.
 //
-// Snapshot publication uses the same hazard-slot ring as obs::SnapshotBoard
-// rather than std::atomic<std::shared_ptr<...>>: libstdc++'s _Sp_atomic
-// releases its internal spinlock with a relaxed RMW, which TSan (correctly,
-// per the letter of the memory model) flags — the slot ring is the repo's
-// proven TSan-clean single-publisher/multi-reader exchange.
+// Snapshots are published through an RcuCell (common/rcu_cell.hpp), the
+// same TSan-clean single-publisher/multi-reader exchange the live telemetry
+// plane uses.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -26,58 +23,9 @@
 #include <vector>
 
 #include "admit/admitter.hpp"
+#include "common/rcu_cell.hpp"
 
 namespace topfull::admit {
-
-/// Single-publisher / multi-reader cell holding a shared_ptr<const T>.
-/// Read() is lock-free and returns a reference-counted handle that keeps the
-/// value alive for as long as the caller holds it; Publish() (publisher must
-/// be externally serialized) never blocks on readers.
-template <typename T>
-class RcuCell {
- public:
-  void Publish(std::shared_ptr<const T> value) {
-    if (value == nullptr) return;
-    const std::uint32_t cur = current_.load(std::memory_order_relaxed);
-    std::uint32_t next = cur;
-    for (;;) {
-      next = (next + 1) % kSlots;
-      if (next == cur) continue;  // never overwrite the live slot
-      if (slots_[next].readers.load(std::memory_order_seq_cst) == 0) break;
-    }
-    slots_[next].value = std::move(value);
-    current_.store(next, std::memory_order_seq_cst);
-  }
-
-  std::shared_ptr<const T> Read() const {
-    for (;;) {
-      const std::uint32_t i = current_.load(std::memory_order_seq_cst);
-      Slot& slot = slots_[i];
-      slot.readers.fetch_add(1, std::memory_order_seq_cst);
-      if (current_.load(std::memory_order_seq_cst) == i) {
-        std::shared_ptr<const T> out = slot.value;
-        slot.readers.fetch_sub(1, std::memory_order_seq_cst);
-        return out;
-      }
-      // The publisher moved on while we pinned; retry on the fresh slot.
-      slot.readers.fetch_sub(1, std::memory_order_seq_cst);
-    }
-  }
-
- private:
-  // 4 slots: 1 live + up to 2 mid-Read stragglers + 1 the publisher is
-  // filling. The publisher skips slots with pinned readers, so a reader's
-  // copy always completes on an intact shared_ptr.
-  static constexpr std::uint32_t kSlots = 4;
-
-  struct Slot {
-    std::shared_ptr<const T> value;
-    std::atomic<std::uint32_t> readers{0};
-  };
-
-  mutable std::array<Slot, kSlots> slots_;
-  std::atomic<std::uint32_t> current_{0};
-};
 
 /// Outcome of a control-path Configure.
 enum class ConfigureResult {

@@ -27,6 +27,10 @@ std::string VariantName(Variant variant) {
   return "unknown";
 }
 
+bool VariantNeedsPolicy(Variant variant) {
+  return variant == Variant::kTopFull || variant == Variant::kTopFullNoCluster;
+}
+
 std::optional<Variant> VariantFromName(const std::string& name) {
   if (name == "topfull" || name == "TopFull") return Variant::kTopFull;
   if (name == "mimd" || name == "topfull-mimd" || name == "TopFull(MIMD)") {
@@ -208,6 +212,18 @@ TelemetrySummary Telemetry::Export(const sim::Application& app,
   const std::string html_path = base + ".report.html";
   report(html_path, obs::WriteHtmlReport(inputs, html_path));
   return summary;
+}
+
+std::unique_ptr<obs::TsdbPlane> MakeSloTsdbPlane(bool force) {
+  const char* env = std::getenv("TOPFULL_TSDB");
+  if (!force && (env == nullptr || *env == '\0' || std::string(env) == "0")) {
+    return nullptr;
+  }
+  auto plane = std::make_unique<obs::TsdbPlane>();
+  for (obs::AlertRule& rule : obs::SloBurnRules()) {
+    plane->rules().AddAlert(std::move(rule));
+  }
+  return plane;
 }
 
 std::string SanitizeFileName(const std::string& name) {

@@ -40,6 +40,10 @@ enum class Variant {
 
 std::string VariantName(Variant variant);
 
+/// True when Controllers::Attach runs `variant` on the pre-trained RL
+/// policy (and so needs one).
+bool VariantNeedsPolicy(Variant variant);
+
 /// Inverse of VariantName plus the CLI short names ("topfull", "mimd",
 /// "dagor", "breakwater", "wisp", "static", "none", ...). Returns nullopt
 /// for unknown names.
@@ -147,7 +151,6 @@ class Telemetry {
                           bool log_stderr = true);
 
   const obs::RequestTracer* tracer() const { return tracer_.get(); }
-  const obs::DecisionLog* decision_log() const { return decision_log_.get(); }
   const obs::SloMonitor* monitor() const { return monitor_.get(); }
 
  private:
@@ -157,6 +160,11 @@ class Telemetry {
   std::unique_ptr<obs::SloMonitor> monitor_;
   const obs::TsdbPlane* tsdb_ = nullptr;
 };
+
+/// A time-series plane with the default SLO burn-rate alert pair; null
+/// unless `force` or the TOPFULL_TSDB env var (non-empty, not "0") asks
+/// for one.
+std::unique_ptr<obs::TsdbPlane> MakeSloTsdbPlane(bool force = false);
 
 /// Replaces path-hostile characters so a run label can name a trace file.
 std::string SanitizeFileName(const std::string& name);

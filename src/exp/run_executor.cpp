@@ -1,113 +1,19 @@
 #include "exp/run_executor.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
-#include "obs/live.hpp"
-#include "obs/profile.hpp"
-#include "obs/tsdb_plane.hpp"
+#include "exp/sharded_run.hpp"
 
 namespace topfull::exp {
 
-namespace {
-
-/// TOPFULL_TSDB env gate: set, non-empty and not "0" enables a run-owned
-/// TSDB plane for specs that do not pass one explicitly.
-bool TsdbFromEnv() {
-  const char* value = std::getenv("TOPFULL_TSDB");
-  return value != nullptr && *value != '\0' &&
-         std::string(value) != "0";
-}
-
-}  // namespace
-
-RunResult RunExecutor::RunOne(const RunSpec& spec) {
-  return RunOne(spec, SanitizeFileName(spec.label));
-}
-
 RunResult RunExecutor::RunOne(const RunSpec& spec,
                               const std::string& telemetry_name) {
-  obs::ScopedTimer run_timer("exp/run");
+  ShardedRunResult sharded =
+      RunShardedSpec(spec, ShardedRunOptions{}, telemetry_name);
   RunResult result;
-  result.label = spec.label;
-  {
-    obs::ScopedTimer timer("exp/make_app");
-    result.app = spec.make_app();
-  }
-  sim::Application& app = *result.app;
-
-  Telemetry telemetry(TelemetryOptions::FromEnv());
-  telemetry.Attach(app);
-
-  // The TSDB feeder chains after the telemetry observers, so attach order
-  // matters: monitor first, feeder second.
-  std::unique_ptr<obs::TsdbPlane> owned_tsdb;
-  obs::TsdbPlane* tsdb = spec.tsdb;
-  if (tsdb == nullptr && TsdbFromEnv()) {
-    owned_tsdb = std::make_unique<obs::TsdbPlane>();
-    for (obs::AlertRule& rule : obs::SloBurnRules()) {
-      owned_tsdb->rules().AddAlert(std::move(rule));
-    }
-    tsdb = owned_tsdb.get();
-  }
-  if (tsdb != nullptr) {
-    tsdb->Attach(app);
-    telemetry.SetTsdb(tsdb);
-  }
-
-  // Controllers (and any custom attachment) only need to outlive the run:
-  // after RunFor the metrics timeline is self-contained.
-  Controllers controllers;
-  std::shared_ptr<void> custom;
-  if (spec.attach) {
-    custom = spec.attach(app);
-  } else {
-    controllers.Attach(spec.variant, app, spec.policy, spec.topfull_config,
-                       /*mimd_decrease=*/0.05, /*mimd_increase=*/0.01,
-                       spec.static_rate);
-  }
-  if (controllers.topfull() != nullptr) telemetry.Attach(*controllers.topfull());
-
-  workload::TrafficDriver traffic(&app);
-  if (spec.traffic) spec.traffic(traffic, app);
-
-  fault::FaultInjector injector(&app, spec.faults, spec.fault_seed);
-  if (!spec.faults.empty()) injector.Arm();
-
-  {
-    obs::ScopedTimer timer("exp/simulate");
-    if (spec.live == nullptr) {
-      app.RunFor(Seconds(spec.duration_s));
-    } else {
-      // Chunked execution for live publishing. Chunking RunUntil is
-      // bit-identical to one long run (same events, same order); snapshots
-      // are captured only at the chunk edges, where the engine is quiescent.
-      obs::LiveSources sources;
-      sources.shards.push_back({&app, telemetry.tracer(), telemetry.monitor()});
-      sources.label = spec.label;
-      sources.duration_s = spec.duration_s;
-      const SimTime end = app.sim().Now() + Seconds(spec.duration_s);
-      // Publish a start-of-run snapshot so a scrape that races the first
-      // chunk never sees an empty board.
-      spec.live->MaybePublish(sources);
-      while (app.sim().Now() < end) {
-        app.RunUntil(std::min(app.sim().Now() + Millis(100), end));
-        spec.live->MaybePublish(sources);
-      }
-      spec.live->Publish(sources, /*finished=*/true);
-    }
-  }
-  // Catch the final boundary in case the last window closed short of it
-  // (idempotent: already-evaluated boundaries are skipped).
-  if (tsdb != nullptr) tsdb->FinishRules(ToSeconds(app.sim().Now()));
-
-  result.fault_log = injector.Log();
-  if (telemetry.enabled()) {
-    obs::ScopedTimer timer("exp/export_telemetry");
-    telemetry.Export(app, telemetry_name, controllers.topfull(),
-                     result.fault_log.empty() ? nullptr : &result.fault_log);
-  }
+  result.label = std::move(sharded.label);
+  result.app = sharded.app->ReleaseSingle();
+  result.fault_log = std::move(sharded.fault_log);
   return result;
 }
 

@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,17 +59,26 @@ struct RunSpec {
   fault::FaultSchedule faults;
   std::uint64_t fault_seed = fault::FaultInjector::kDefaultSeed;
 
-  /// Live telemetry plane (non-owning; may be null). When set, the run is
-  /// executed in sim-time chunks and a metrics snapshot is published to the
-  /// plane between chunks — a pure observer, so the run stays bit-identical
-  /// to one without it. The final snapshot is published with finished=true.
+  /// Starts a horizontal pod autoscaler (default config, default cluster)
+  /// after the controllers, and lets VM-outage faults act on its cluster.
+  /// Single-shard runs only (RunShardedSpec throws otherwise).
+  bool hpa = false;
+
+  /// Telemetry export settings; unset reads TOPFULL_TRACE_DIR and
+  /// TOPFULL_TRACE_SAMPLE (TelemetryOptions::FromEnv).
+  std::optional<TelemetryOptions> telemetry;
+
+  /// Live telemetry plane (non-owning; may be null). When set, a metrics
+  /// snapshot is published to the plane at the run's chunk edges — a pure
+  /// observer, so the run stays bit-identical to one without it. The final
+  /// snapshot is published with finished=true.
   obs::LivePlane* live = nullptr;
 
   /// Time-series plane (non-owning; may be null). When set, a window
   /// feeder is attached (chained after any telemetry observers) and rules
-  /// evaluate at window closes; like `live`, a pure observer. When null,
-  /// the TOPFULL_TSDB env var (non-empty, not "0") creates a run-owned
-  /// plane with the default SLO burn rules, so benches gain the
+  /// evaluate at the run's chunk edges; like `live`, a pure observer. When
+  /// null, the TOPFULL_TSDB env var (non-empty, not "0") creates a
+  /// run-owned plane with the default SLO burn rules, so benches gain the
   /// `.tsdb.json`/`.alerts.json` artifacts without code changes.
   obs::TsdbPlane* tsdb = nullptr;
 };
@@ -93,10 +103,12 @@ class RunExecutor {
   /// "<index>_<label>" name, identically for any pool size.
   std::vector<RunResult> Execute(const std::vector<RunSpec>& specs) const;
 
-  /// Runs a single spec on the calling thread. `telemetry_name` names the
-  /// run's telemetry files (defaults to the sanitized label).
-  static RunResult RunOne(const RunSpec& spec);
-  static RunResult RunOne(const RunSpec& spec, const std::string& telemetry_name);
+  /// Runs a single spec on the calling thread: RunShardedSpec at one
+  /// shard, with the replica handed back as a plain Application.
+  /// `telemetry_name` names the run's telemetry files (defaults to the
+  /// sanitized label).
+  static RunResult RunOne(const RunSpec& spec,
+                          const std::string& telemetry_name = "");
 
  private:
   ThreadPool* pool_;

@@ -1,13 +1,20 @@
-// Sharded-run orchestration: one RunSpec executed across N engine shards.
+// The run executor: one RunSpec executed across N engine shards.
 //
-// RunShardedSpec mirrors RunExecutor::RunOne step for step — app factory,
-// telemetry attach, controller attach, traffic, fault arming, run — but
-// performs each step once per shard replica with shard-local scope:
-// controllers attach to every replica (a controller whose APIs see no
-// local traffic simply never acts), traffic is apportioned by API origin,
-// and fault events are armed only on the shard owning their target
-// service. With shards == 1 every step degenerates to exactly what RunOne
-// does, which the engine-identity digests verify byte-for-byte.
+// Every run in the repo goes through RunShardedSpec — RunExecutor::RunOne
+// is this at one shard. The steps are: app factory (one replica per
+// shard), telemetry, time-series plane, controllers, autoscaler, traffic,
+// faults, run, export. Each per-app step runs once per replica with
+// shard-local scope: controllers attach to every replica (a controller
+// whose APIs see no local traffic simply never acts), traffic is
+// apportioned by API origin, and fault events are armed only on the shard
+// owning their target service. With shards == 1 every step degenerates to
+// a plain single-app run, which the engine-identity digests pin
+// byte-for-byte to the seed engine.
+//
+// The run loop advances in chunks of 100 ms of sim time, rounded to whole
+// lookahead multiples so window edges land exactly where an unchunked run
+// puts them. Every chunk edge is a quiescent point: there the rules of the
+// time-series plane are evaluated and the live plane publishes.
 #pragma once
 
 #include <memory>
@@ -19,14 +26,9 @@
 
 namespace topfull::exp {
 
-struct ShardedRunOptions {
-  int shards = 1;
-  /// One-way cross-shard RPC latency == synchronization lookahead.
-  SimTime net_latency = Millis(1);
-  /// Worker threads vs same-protocol sequential execution (bit-identical;
-  /// sequential is for determinism cross-checks and debugging).
-  bool threaded = true;
-};
+/// Shard count, cross-shard latency (== lookahead) and threaded vs
+/// sequential execution: exactly what the ShardedApp is built with.
+using ShardedRunOptions = sim::ShardedApp::Options;
 
 struct ShardedRunResult {
   std::string label;
@@ -34,18 +36,16 @@ struct ShardedRunResult {
   /// Per-shard injector logs merged deterministically (stable-sorted by
   /// injection time, shard order preserved within a timestamp).
   std::vector<fault::FaultRecord> fault_log;
+  /// One export summary per shard; empty when telemetry is off.
+  std::vector<TelemetrySummary> telemetry;
 };
 
-/// Splits a fault schedule by target-service ownership: each event lands
-/// only on the shard owning its service (cluster-wide and unknown-service
-/// events land on shard 0). The union over shards is the whole schedule.
-fault::FaultSchedule FaultsForShard(const fault::FaultSchedule& all,
-                                    const sim::Application& app,
-                                    const sim::ShardPlan& plan, int shard);
-
-/// Runs `spec` across `options.shards` shards. Telemetry (TOPFULL_TRACE_DIR)
-/// exports per shard under "<label>.shard<k>" names for N > 1.
+/// Runs `spec` across `options.shards` shards. Telemetry files are named
+/// `telemetry_name` (default: the sanitized label), per shard with a
+/// ".shard<k>" suffix for N > 1. The time-series plane's artifacts are
+/// written once per run under `telemetry_name`.
 ShardedRunResult RunShardedSpec(const RunSpec& spec,
-                                const ShardedRunOptions& options);
+                                const ShardedRunOptions& options,
+                                const std::string& telemetry_name = "");
 
 }  // namespace topfull::exp

@@ -2,8 +2,8 @@
 //
 // LivePlane owns a SnapshotBoard and an HttpServer and turns the two into
 // the run-facing API: the sim-owning thread calls MaybePublish() at
-// quiescent points (between RunUntil chunks, or between sharded window
-// rounds — never from inside an event), which captures an immutable
+// quiescent points (the run executor's chunk edges, while every shard is
+// parked — never from inside an event), which captures an immutable
 // MetricsSnapshot of every attached registry and swaps it onto the board;
 // the server thread answers scrapes from board reads only. Publishing is
 // strictly an observer: it never schedules events, never touches RNG

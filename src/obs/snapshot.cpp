@@ -272,46 +272,6 @@ std::shared_ptr<const MetricsSnapshot> SnapshotBuilder::Finish(
   return snapshot;
 }
 
-// --- SnapshotBoard ----------------------------------------------------------
-
-SnapshotBoard::SnapshotBoard() {
-  slots_[0].snapshot = std::make_shared<const MetricsSnapshot>();
-}
-
-void SnapshotBoard::Publish(std::shared_ptr<const MetricsSnapshot> snapshot) {
-  if (snapshot == nullptr) return;
-  const std::uint32_t cur = current_.load(std::memory_order_relaxed);
-  // Pick a slot no reader has pinned. A slot is pinned only for the
-  // duration of one shared_ptr copy, so this scan terminates quickly; the
-  // seq_cst scan pairs with the readers' seq_cst pin/re-validate (see the
-  // class comment for why either the scan sees the pin or the reader's
-  // re-validation sees the flip).
-  std::uint32_t next = cur;
-  for (;;) {
-    next = (next + 1) % kSlots;
-    if (next == cur) continue;
-    if (slots_[next].readers.load(std::memory_order_seq_cst) == 0) break;
-  }
-  slots_[next].snapshot = std::move(snapshot);
-  current_.store(next, std::memory_order_seq_cst);
-}
-
-std::shared_ptr<const MetricsSnapshot> SnapshotBoard::Read() const {
-  for (;;) {
-    const std::uint32_t i = current_.load(std::memory_order_seq_cst);
-    Slot& slot = slots_[i];
-    slot.readers.fetch_add(1, std::memory_order_seq_cst);
-    if (current_.load(std::memory_order_seq_cst) == i) {
-      std::shared_ptr<const MetricsSnapshot> out = slot.snapshot;
-      slot.readers.fetch_sub(1, std::memory_order_seq_cst);
-      return out;
-    }
-    // The publisher flipped away from (and may be refilling) slot i
-    // between our two loads; unpin and retry against the new current.
-    slot.readers.fetch_sub(1, std::memory_order_seq_cst);
-  }
-}
-
 // --- Renderers --------------------------------------------------------------
 
 std::string PromTextFromSnapshot(const MetricsSnapshot& snapshot) {

@@ -4,20 +4,12 @@
 // simulation updates it with plain writes on its own thread. To observe it
 // live without perturbing that hot path, the *owning* thread captures an
 // immutable MetricsSnapshot at a quiescent point (between RunUntil chunks,
-// or on the sharded caller thread between window rounds while the workers
-// are parked at the barrier) and publishes it through a SnapshotBoard — a
-// hazard-style slot ring (see the class comment). Readers (the HTTP
-// observability server) pin a slot, copy one shared_ptr and then walk a
-// structure nobody mutates, so scrapes never take a lock and never touch
-// live registry storage.
-//
-// Memory-ordering contract (DESIGN.md §12):
-//   writer: build snapshot (plain writes) → Publish (slot fill, then
-//           seq_cst flip of the current index)
-//   reader: Read (seq_cst pin + re-validate) → walk immutable snapshot
-// The copied shared_ptr keeps a scraped snapshot alive across later
-// publishes, so there is no reclamation race; old snapshots free when the
-// last reader drops them.
+// while every shard's workers are parked at the barrier) and publishes it
+// through a SnapshotBoard, an RcuCell (common/rcu_cell.hpp, which holds the
+// memory-ordering argument; DESIGN.md §12). Readers (the HTTP
+// observability server) copy one shared_ptr and then walk a structure
+// nobody mutates, so scrapes never take a lock and never touch live
+// registry storage.
 //
 // PromTextFromSnapshot renders the exact same text-exposition bytes as the
 // offline Prometheus dump — WritePrometheusText is implemented on top of
@@ -25,7 +17,6 @@
 // artifact byte for byte.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rcu_cell.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics_registry.hpp"
 
@@ -128,42 +120,12 @@ class SnapshotBuilder {
 };
 
 /// Publish/read exchange between the snapshot producer (the sim-owning
-/// thread — exactly one publisher) and any number of reader threads.
-/// Starts holding an empty snapshot so readers never observe null.
-///
-/// Not std::atomic<shared_ptr>: libstdc++'s _Sp_atomic releases its
-/// internal spinlock from load() with a relaxed RMW, so there is no
-/// release edge from a reader's pointer read to the next store's pointer
-/// write and TSan (correctly, per the model) reports the pair as a data
-/// race. Instead the board is a small hazard-style slot ring: Publish()
-/// fills a slot no reader has pinned and flips `current_`; Read() pins
-/// slots_[current_] with a reader count, re-validates `current_`, and
-/// copies the shared_ptr out. The seq_cst handshake (reader: pin then
-/// re-read current_; publisher: flip current_ then scan reader counts)
-/// guarantees the publisher never reuses a slot a reader is copying from:
-/// in the seq_cst total order either the publisher's scan sees the pin, or
-/// the reader's re-validation sees the flip and backs off. Readers never
-/// block each other or the publisher.
-class SnapshotBoard {
+/// thread — exactly one publisher) and any number of reader threads: an
+/// RcuCell that starts holding an empty snapshot, so readers never observe
+/// null.
+class SnapshotBoard : public RcuCell<MetricsSnapshot> {
  public:
-  SnapshotBoard();
-  SnapshotBoard(const SnapshotBoard&) = delete;
-  SnapshotBoard& operator=(const SnapshotBoard&) = delete;
-
-  /// Publisher side; single-threaded by contract.
-  void Publish(std::shared_ptr<const MetricsSnapshot> snapshot);
-  std::shared_ptr<const MetricsSnapshot> Read() const;
-
- private:
-  struct Slot {
-    std::atomic<int> readers{0};
-    std::shared_ptr<const MetricsSnapshot> snapshot;
-  };
-  // current_ + spare slots for in-flight publishes while stragglers copy.
-  static constexpr std::uint32_t kSlots = 4;
-
-  mutable Slot slots_[kSlots];
-  std::atomic<std::uint32_t> current_{0};
+  SnapshotBoard() : RcuCell(std::make_shared<const MetricsSnapshot>()) {}
 };
 
 /// Renders a snapshot in Prometheus text exposition format: families in

@@ -14,27 +14,31 @@ namespace topfull::obs {
 
 /// Chained window observer: forwards to the previously installed observer
 /// first (SloMonitor events precede same-timestamp TSDB activity), then
-/// hands the window to the plane.
+/// appends the window to the store. Registry families only: the live-only
+/// wall-clock families (profiler, sharded scheduler) never enter the
+/// store, so its contents depend on simulation state alone.
 struct TsdbPlane::Feeder : sim::WindowObserver {
-  TsdbPlane* plane = nullptr;
+  Tsdb* tsdb = nullptr;
   const MetricsRegistry* registry = nullptr;
   sim::WindowObserver* next = nullptr;
   Labels extra;
 
   void OnWindow(const sim::Snapshot& snapshot) override {
     if (next != nullptr) next->OnWindow(snapshot);
-    plane->OnFeederWindow(*this, snapshot);
+    SnapshotBuilder builder;
+    builder.AddRegistry(*registry, extra);
+    tsdb->AppendSnapshot(*builder.Finish(), snapshot.t_end_s);
   }
 };
 
-TsdbPlane::TsdbPlane(TsdbPlaneOptions options)
-    : options_(options), tsdb_(options.tsdb), rules_(&tsdb_) {}
+TsdbPlane::TsdbPlane(TsdbOptions options)
+    : tsdb_(options), rules_(&tsdb_) {}
 
 TsdbPlane::~TsdbPlane() = default;
 
 void TsdbPlane::Attach(sim::Application& app, int shard, int num_shards) {
   auto feeder = std::make_unique<Feeder>();
-  feeder->plane = this;
+  feeder->tsdb = &tsdb_;
   feeder->registry = &app.metrics_registry();
   feeder->next = app.metrics().window_observer();
   if (num_shards > 1) {
@@ -42,19 +46,6 @@ void TsdbPlane::Attach(sim::Application& app, int shard, int num_shards) {
   }
   app.metrics().SetWindowObserver(feeder.get());
   feeders_.push_back(std::move(feeder));
-}
-
-void TsdbPlane::OnFeederWindow(const Feeder& feeder,
-                               const sim::Snapshot& snapshot) {
-  // Registry families only: the live-only wall-clock families (profiler,
-  // sharded scheduler) never enter the store, so its contents depend on
-  // simulation state alone.
-  SnapshotBuilder builder;
-  builder.AddRegistry(*feeder.registry, feeder.extra);
-  tsdb_.AppendSnapshot(*builder.Finish(), snapshot.t_end_s);
-  if (options_.evaluate_on_window) {
-    EvaluateBoundaries(snapshot.t_end_s, /*inclusive=*/true);
-  }
 }
 
 void TsdbPlane::EvaluateRulesUpTo(double t_s) {
@@ -66,8 +57,7 @@ void TsdbPlane::FinishRules(double t_s) {
 }
 
 void TsdbPlane::EvaluateBoundaries(double limit_s, bool inclusive) {
-  std::lock_guard<std::mutex> lock(eval_mu_);
-  const double step = options_.tsdb.step_s;
+  const double step = tsdb_.options().step_s;
   if (step <= 0.0) return;
   const double eps = step * 1e-9;
   while (true) {

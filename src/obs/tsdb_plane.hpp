@@ -10,21 +10,18 @@
 // event stream is untouched and alert transitions at the same timestamp
 // sort after monitor events.
 //
-// Rule pacing follows the quiescent-point discipline:
-//  * unsharded (evaluate_on_window = true, the default): rules are
-//    evaluated inline at each window close, right after the append;
-//  * sharded (evaluate_on_window = false): feeders only append; the
-//    coordinating thread calls EvaluateRulesUpTo at chunk edges and
-//    FinishRules at end of run. Because query evaluation is strictly
-//    backward-looking (query.hpp), evaluating a boundary late produces the
-//    identical result, so both pacings yield the same transitions.
+// Feeders only append: rules are evaluated by the thread that runs the
+// simulation, at quiescent points. The run executor (exp/sharded_run.hpp)
+// calls EvaluateRulesUpTo at every chunk edge and FinishRules at end of run.
+// Query evaluation is strictly backward-looking (query.hpp), so evaluating
+// a boundary after later windows were appended gives the same result as
+// evaluating it the moment its window closed.
 //
 // The plane is a pure observer: it never schedules events or touches RNG
 // state, so a run with it attached is bit-identical to one without.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,16 +36,9 @@ class Application;
 
 namespace topfull::obs {
 
-struct TsdbPlaneOptions {
-  TsdbOptions tsdb;
-  /// Evaluate rules inline at every window close (unsharded runs). Sharded
-  /// runs set false and pace evaluation with EvaluateRulesUpTo/FinishRules.
-  bool evaluate_on_window = true;
-};
-
 class TsdbPlane {
  public:
-  explicit TsdbPlane(TsdbPlaneOptions options = {});
+  explicit TsdbPlane(TsdbOptions options = {});
   ~TsdbPlane();
   TsdbPlane(const TsdbPlane&) = delete;
   TsdbPlane& operator=(const TsdbPlane&) = delete;
@@ -62,12 +52,6 @@ class TsdbPlane {
   const Tsdb& tsdb() const { return tsdb_; }
   RuleEngine& rules() { return rules_; }
   const RuleEngine& rules() const { return rules_; }
-  const TsdbPlaneOptions& options() const { return options_; }
-
-  /// Switches to externally paced rule evaluation (the sharded runner
-  /// calls this before attaching feeders: worker threads must only
-  /// append). Must be called before the run starts.
-  void DisableInlineEvaluation() { options_.evaluate_on_window = false; }
 
   /// Evaluates every not-yet-evaluated step boundary strictly before
   /// `t_s`. Strictly: a window closing exactly at a chunk edge may not
@@ -79,13 +63,10 @@ class TsdbPlane {
 
  private:
   struct Feeder;
-  void OnFeederWindow(const Feeder& feeder, const sim::Snapshot& snapshot);
   void EvaluateBoundaries(double limit_s, bool inclusive);
 
-  TsdbPlaneOptions options_;
   Tsdb tsdb_;
   RuleEngine rules_;
-  std::mutex eval_mu_;
   std::uint64_t next_boundary_ = 1;  ///< next boundary is next_boundary_*step
   std::vector<std::unique_ptr<Feeder>> feeders_;
 };

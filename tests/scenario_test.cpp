@@ -668,9 +668,9 @@ TEST(ScenarioMatrixTest, MetastableTrapsStaticWhileTopFullEscapes) {
 // --- Sharded self-consistency -------------------------------------------------
 
 // One scenario driven through the sharded engine: shards=4 must be
-// bit-identical between threaded and sequential execution, shards=1 must
-// equal the unsharded run, and the 4-shard goodput must agree with the
-// 1-shard goodput within the cross-shard-latency tolerance.
+// bit-identical between threaded and sequential execution, and the 4-shard
+// goodput must agree with the 1-shard goodput within the
+// cross-shard-latency tolerance.
 TEST(ScenarioShardedTest, FourShardsSelfConsistent) {
   const ScenarioSpec scenario = MiniStorm();
 
@@ -711,11 +711,6 @@ TEST(ScenarioShardedTest, FourShardsSelfConsistent) {
   exp::ShardedRunOptions single;
   single.shards = 1;
   const exp::ShardedRunResult one = exp::RunShardedSpec(spec, single);
-  const exp::RunResult unsharded = exp::RunExecutor::RunOne(spec);
-  EXPECT_DOUBLE_EQ(one.app->MergedAvgTotalGoodput(),
-                   unsharded.app->metrics().AvgTotalGoodput())
-      << "shards=1 must degenerate to the unsharded run";
-
   const double goodput1 = one.app->MergedAvgTotalGoodput();
   const double goodput4 = four.app->MergedAvgTotalGoodput();
   ASSERT_GT(goodput1, 0.0);

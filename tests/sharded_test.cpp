@@ -2,7 +2,12 @@
 // sharded application runs (determinism, conservation, cross-shard RPC).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -379,6 +384,49 @@ TEST(ShardedAppTest, ReplicatedAlibabaShardsRunAligned) {
   EXPECT_GT(r.app->app(0).sim().EventsProcessed(), 1000u);
   EXPECT_GT(r.app->app(1).sim().EventsProcessed(), 1000u);
   EXPECT_GT(r.app->MergedAvgTotalGoodput(1.0), 0.0);
+}
+
+// RunSpec::static_rate reaches every shard's limiter: no API admits more
+// than its token bucket allows over the run, rate * T + burst.
+TEST(ShardedAppTest, StaticLimitCapsEveryApiAcrossShards) {
+  exp::RunSpec spec = TwoClusterSpec();
+  spec.variant = exp::Variant::kStaticLimit;
+  spec.static_rate = 20.0;
+  exp::ShardedRunOptions options;
+  options.shards = 2;
+  const auto r = exp::RunShardedSpec(spec, options);
+  const core::TopFullConfig config;  // the limiter's burst parameters
+  const double burst =
+      std::max(config.min_burst, spec.static_rate * config.burst_fraction);
+  for (const auto& t : r.app->MergedTotals()) {
+    EXPECT_GT(t.offered, t.admitted) << "the limit never bound";
+    EXPECT_LE(static_cast<double>(t.admitted),
+              spec.static_rate * spec.duration_s + burst);
+  }
+}
+
+// TOPFULL_TSDB attaches a run-owned time-series plane at any shard count;
+// its artifacts are written once, under the run name.
+TEST(ShardedAppTest, TsdbEnvGateWritesRunArtifactsWhenSharded) {
+  const std::string dir = testing::TempDir() + "sharded_tsdb_env";
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(setenv("TOPFULL_TSDB", "1", 1), 0);
+  ASSERT_EQ(setenv("TOPFULL_TRACE_DIR", dir.c_str(), 1), 0);
+  exp::RunSpec spec = TwoClusterSpec();
+  spec.duration_s = 4.0;
+  exp::ShardedRunOptions options;
+  options.shards = 2;
+  exp::RunShardedSpec(spec, options);
+  unsetenv("TOPFULL_TSDB");
+  unsetenv("TOPFULL_TRACE_DIR");
+
+  std::ifstream tsdb(dir + "/two-cluster.tsdb.json");
+  ASSERT_TRUE(tsdb.good());
+  const std::string body{std::istreambuf_iterator<char>(tsdb),
+                         std::istreambuf_iterator<char>()};
+  EXPECT_NE(body.find("\"shard\":\"1\""), std::string::npos)
+      << "sharded series carry a shard label";
+  EXPECT_TRUE(std::filesystem::exists(dir + "/two-cluster.alerts.json"));
 }
 
 }  // namespace

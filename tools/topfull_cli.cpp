@@ -32,6 +32,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,7 +48,6 @@
 #include "apps/alibaba_demo.hpp"
 #include "apps/online_boutique.hpp"
 #include "apps/train_ticket.hpp"
-#include "autoscale/hpa.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/csv.hpp"
@@ -236,16 +236,12 @@ std::unique_ptr<obs::LivePlane> MakeLivePlane(const Args& args,
 /// multi-window SLO burn pair, plus goodput_floor_burn when --alert-floor
 /// gives a positive floor.
 std::unique_ptr<obs::TsdbPlane> MakeTsdbPlane(const Args& args) {
-  const char* env = std::getenv("TOPFULL_TSDB");
-  const bool env_on =
-      env != nullptr && *env != '\0' && std::string(env) != "0";
-  if (!args.Has("tsdb") && !args.Has("alert-floor") && !env_on) return nullptr;
-  auto plane = std::make_unique<obs::TsdbPlane>();
-  for (obs::AlertRule& rule : obs::SloBurnRules()) {
-    plane->rules().AddAlert(std::move(rule));
-  }
+  auto plane =
+      exp::MakeSloTsdbPlane(args.Has("tsdb") || args.Has("alert-floor"));
   const double floor = args.Num("alert-floor", 0.0);
-  if (floor > 0) plane->rules().AddAlert(obs::GoodputFloorRule(floor));
+  if (plane != nullptr && floor > 0) {
+    plane->rules().AddAlert(obs::GoodputFloorRule(floor));
+  }
   return plane;
 }
 
@@ -324,24 +320,6 @@ std::string PercentEncode(const std::string& text) {
   return out;
 }
 
-/// Resolves --controller via the shared exp name table; unknown names are
-/// an explicit error instead of silently running uncontrolled.
-bool ResolveVariant(const std::string& name, exp::Variant* variant) {
-  const auto resolved = exp::VariantFromName(name);
-  if (!resolved.has_value()) {
-    std::fprintf(stderr, "unknown --controller '%s'\n", name.c_str());
-    return false;
-  }
-  *variant = *resolved;
-  return true;
-}
-
-bool VariantNeedsPolicy(exp::Variant variant) {
-  return variant == exp::Variant::kTopFull ||
-         variant == exp::Variant::kTopFullNoCluster ||
-         variant == exp::Variant::kTopFullBw;
-}
-
 int CmdInspect(const Args& args) {
   auto app = MakeApp(args);
   if (!app) return Usage();
@@ -373,30 +351,114 @@ int CmdInspect(const Args& args) {
   return 0;
 }
 
-/// `run --shards N` (N > 1): the same run sharded across N engine shards
-/// via the conservative-lookahead parallel DES. Supports the core run
-/// options (--controller/--users/--rps/--surge/--duration/--seed/--replicas,
-/// fault profiles, RPC knobs); HPA/CSV are unsharded-only for now.
-int CmdRunSharded(const Args& args) {
-  obs::ScopedTimer run_timer("cli/run-sharded");
-  const int shards = static_cast<int>(args.Num("shards", 1));
-  if (args.Has("hpa") || args.Has("csv")) {
+/// Single-shard results: per-API goodput, final p95 and the TopFull
+/// controller's final rate limits.
+void PrintApiTable(const sim::Application& app, double duration) {
+  Table table("per-API results (whole run)");
+  table.SetHeader({"API", "avg offered", "avg goodput", "final p95 (ms)",
+                   "rate limit"});
+  const auto& snap = app.metrics().Latest();
+  for (sim::ApiId a = 0; a < app.NumApis(); ++a) {
+    const auto& totals = app.metrics().Totals()[a];
+    // The gauge exists only when a TopFull controller ran (+Inf = uncapped).
+    std::string limit = "-";
+    if (const auto* cell = app.metrics_registry().Find(
+            "topfull_api_rate_limit_rps", {{"api", app.api(a).name()}})) {
+      const double value = cell->gauge.value();
+      limit = std::isinf(value) ? "uncapped" : Fmt(value, 0);
+    }
+    table.AddRow({app.api(a).name(),
+                  Fmt(static_cast<double>(totals.offered) / duration, 0),
+                  Fmt(app.metrics().AvgGoodput(a), 0),
+                  Fmt(snap.apis[a].latency_p95_ms, 0), limit});
+  }
+  table.Print();
+  std::printf("total avg goodput: %.0f rps\n", app.metrics().AvgTotalGoodput());
+}
+
+/// Sharded results: per-API goodput merged across shards.
+void PrintMergedApiTable(const sim::ShardedApp& app, double duration) {
+  const auto& plan = app.plan();
+  std::printf("shard plan: %d clusters over %d shards (%s)\n",
+              plan.num_clusters, app.num_shards(),
+              plan.cluster_aligned ? "cluster-aligned"
+                                   : "split clusters: cross-shard RPC in play");
+  Table table("per-API results (whole run, merged across shards)");
+  table.SetHeader({"API", "shard", "avg offered", "avg goodput"});
+  const auto totals = app.MergedTotals();
+  const sim::Application& app0 = app.app(0);
+  for (sim::ApiId a = 0; a < app0.NumApis(); ++a) {
+    table.AddRow({app0.api(a).name(), std::to_string(plan.OriginOf(a)),
+                  Fmt(static_cast<double>(totals[a].offered) / duration, 0),
+                  Fmt(static_cast<double>(totals[a].good) / duration, 0)});
+  }
+  table.Print();
+  std::printf("total avg goodput: %.0f rps\n", app.MergedAvgTotalGoodput());
+}
+
+/// Sharded engine accounting: cross-shard traffic and per-shard load.
+void PrintShardStats(const sim::ShardedApp& app) {
+  std::printf("cross-shard RPCs: %llu, sync rounds: %llu\n",
+              static_cast<unsigned long long>(app.RemoteCalls()),
+              static_cast<unsigned long long>(app.engine().Rounds()));
+  Table table("per-shard engine stats");
+  table.SetHeader({"shard", "events", "busy (s)", "blocked (s)", "msgs out",
+                   "msgs in"});
+  const auto& stats = app.engine().Stats();
+  for (int i = 0; i < app.num_shards(); ++i) {
+    const auto& s = stats[static_cast<std::size_t>(i)];
+    table.AddRow({std::to_string(i),
+                  std::to_string(app.app(i).sim().EventsProcessed()),
+                  Fmt(s.busy_s, 2), Fmt(s.blocked_s, 2),
+                  std::to_string(s.messages_sent),
+                  std::to_string(s.messages_delivered)});
+  }
+  table.Print();
+}
+
+/// `run`: builds one RunSpec from the flags and hands it to the run
+/// executor. `--shards N` splits the run across N engine shards
+/// (conservative-lookahead parallel DES); --hpa and --csv need one shard.
+int CmdRun(const Args& args) {
+  obs::ScopedTimer run_timer("cli/run");
+  const int shards = std::max(1, static_cast<int>(args.Num("shards", 1)));
+  if (shards > 1 && (args.Has("hpa") || args.Has("csv"))) {
     std::fprintf(stderr, "--hpa/--csv are not supported with --shards\n");
     return 2;
   }
 
   exp::RunSpec spec;
-  spec.label = args.Get("app", "boutique");
+  {
+    const auto probe = MakeApp(args);
+    if (!probe) return Usage();
+    // Single-shard runs are named after the application, sharded ones
+    // after --app.
+    spec.label = shards > 1 ? args.Get("app", "boutique") : probe->name();
+    if (args.Has("fault-profile")) {
+      std::string error;
+      const auto parsed =
+          fault::ParseFaultProfile(args.Get("fault-profile"), *probe, &error);
+      if (!parsed) {
+        std::fprintf(stderr, "bad --fault-profile: %s\n", error.c_str());
+        return 2;
+      }
+      spec.faults = *parsed;
+    }
+  }
+  if (args.Has("fault-seed")) {
+    spec.fault_seed = static_cast<std::uint64_t>(args.Num("fault-seed", 0));
+  }
   spec.duration_s = args.Num("duration", 120);
-  if (!ResolveVariant(args.Get("controller", "topfull"), &spec.variant)) {
+  // Unknown names are an error rather than an uncontrolled run.
+  const auto variant = exp::VariantFromName(args.Get("controller", "topfull"));
+  if (!variant.has_value()) {
+    std::fprintf(stderr, "unknown --controller '%s'\n",
+                 args.Get("controller").c_str());
     return 2;
   }
+  spec.variant = *variant;
   spec.static_rate = args.Num("static-rate", 0.0);
-  std::shared_ptr<rl::GaussianPolicy> policy;
-  if (VariantNeedsPolicy(spec.variant)) {
-    policy = exp::GetPretrainedPolicy();
-    spec.policy = policy.get();
-  }
+  spec.hpa = args.Has("hpa");
   spec.make_app = [args] {
     auto app = MakeApp(args);
     if (args.Has("hop-timeout") || args.Has("retries") ||
@@ -408,6 +470,7 @@ int CmdRunSharded(const Args& args) {
     return app;
   };
 
+  // --surge T:N switches the user count / rate to N at time T.
   double surge_t = -1, surge_value = 0;
   if (args.Has("surge")) {
     const std::string surge = args.Get("surge");
@@ -435,36 +498,18 @@ int CmdRunSharded(const Args& args) {
     }
   };
 
-  if (args.Has("fault-profile")) {
-    const auto probe = MakeApp(args);
-    if (!probe) return Usage();
-    std::string error;
-    const auto parsed =
-        fault::ParseFaultProfile(args.Get("fault-profile"), *probe, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "bad --fault-profile: %s\n", error.c_str());
-      return 2;
-    }
-    spec.faults = *parsed;
-  }
-  if (args.Has("fault-seed")) {
-    spec.fault_seed = static_cast<std::uint64_t>(args.Num("fault-seed", 0));
-  }
-
-  exp::ShardedRunOptions options;
-  options.shards = shards;
-  options.net_latency = Millis(args.Num("net-latency-ms", 1.0));
-  options.threaded = !args.Has("sequential");
-
-  // The sharded runner reads telemetry config from the environment (it
-  // builds one Telemetry per shard internally), so forward the CLI flags.
-  if (args.Has("trace-dir")) {
-    ::setenv("TOPFULL_TRACE_DIR", args.Get("trace-dir").c_str(), 1);
-  }
+  exp::TelemetryOptions telemetry = exp::TelemetryOptions::FromEnv();
+  if (args.Has("trace-dir")) telemetry.dir = args.Get("trace-dir");
   if (args.Has("trace-sample")) {
-    ::setenv("TOPFULL_TRACE_SAMPLE", args.Get("trace-sample").c_str(), 1);
+    telemetry.sample_rate = args.Num("trace-sample", 1.0);
   }
+  spec.telemetry = telemetry;
 
+  std::shared_ptr<rl::GaussianPolicy> policy;
+  if (exp::VariantNeedsPolicy(spec.variant)) {
+    policy = exp::GetPretrainedPolicy();
+    spec.policy = policy.get();
+  }
   std::unique_ptr<obs::TsdbPlane> tsdb = MakeTsdbPlane(args);
   spec.tsdb = tsdb.get();
   int live_rc = 0;
@@ -472,226 +517,60 @@ int CmdRunSharded(const Args& args) {
   if (live_rc != 0) return live_rc;
   spec.live = live.get();
 
-  std::printf("running %s with %s for %.0f s across %d shards "
-              "(lookahead %.1f ms, %s)...\n",
-              spec.label.c_str(), exp::VariantName(spec.variant).c_str(),
-              spec.duration_s, shards, ToMillis(options.net_latency),
-              options.threaded ? "threaded" : "sequential");
-  exp::ShardedRunResult result = exp::RunShardedSpec(spec, options);
-  sim::ShardedApp& app = *result.app;
+  exp::ShardedRunOptions options;
+  options.shards = shards;
+  options.net_latency = Millis(args.Num("net-latency-ms", 1.0));
+  options.threaded = !args.Has("sequential");
+  if (shards > 1) {
+    std::printf("running %s with %s for %.0f s across %d shards "
+                "(lookahead %.1f ms, %s)...\n",
+                spec.label.c_str(), exp::VariantName(spec.variant).c_str(),
+                spec.duration_s, shards, ToMillis(options.net_latency),
+                options.threaded ? "threaded" : "sequential");
+  } else {
+    std::printf("running %s with %s for %.0f s...\n", spec.label.c_str(),
+                exp::VariantName(spec.variant).c_str(), spec.duration_s);
+  }
+  const exp::ShardedRunResult result = exp::RunShardedSpec(spec, options);
+  const sim::ShardedApp& app = *result.app;
 
   if (!result.fault_log.empty()) {
-    std::printf("faults: %zu state changes\n", result.fault_log.size());
+    if (shards > 1) {
+      std::printf("faults: %zu state changes\n", result.fault_log.size());
+    } else {
+      const auto injected = std::count_if(
+          result.fault_log.begin(), result.fault_log.end(),
+          [](const fault::FaultRecord& r) {
+            return r.action != fault::FaultRecord::Action::kSkipped;
+          });
+      std::printf("faults: %d state changes from %zu scheduled events\n",
+                  static_cast<int>(injected), spec.faults.size());
+    }
     for (const auto& r : result.fault_log) {
       std::printf("  t=%7.2fs %-20s %-8s %s%s%s severity=%.2f count=%d\n",
                   ToSeconds(r.at), fault::FaultTypeName(r.type),
-                  fault::FaultActionName(r.action), r.service.empty() ? "" : "svc=",
-                  r.service.c_str(), r.service.empty() ? "(cluster)" : "",
-                  r.severity, r.count);
+                  fault::FaultActionName(r.action),
+                  r.service.empty() ? "" : "svc=", r.service.c_str(),
+                  r.service.empty() ? "(cluster)" : "", r.severity, r.count);
     }
   }
-
-  const auto& plan = app.plan();
-  std::printf("shard plan: %d clusters over %d shards (%s)\n",
-              plan.num_clusters, shards,
-              plan.cluster_aligned ? "cluster-aligned"
-                                   : "split clusters: cross-shard RPC in play");
-
-  Table table("per-API results (whole run, merged across shards)");
-  table.SetHeader({"API", "shard", "avg offered", "avg goodput"});
-  const auto totals = app.MergedTotals();
-  const sim::Application& app0 = app.app(0);
-  for (sim::ApiId a = 0; a < app0.NumApis(); ++a) {
-    table.AddRow({app0.api(a).name(), std::to_string(plan.OriginOf(a)),
-                  Fmt(static_cast<double>(totals[a].offered) / spec.duration_s, 0),
-                  Fmt(static_cast<double>(totals[a].good) / spec.duration_s, 0)});
-  }
-  table.Print();
-  std::printf("total avg goodput: %.0f rps\n", app.MergedAvgTotalGoodput());
-  if (tsdb != nullptr) {
-    std::printf("alerts: %zu rules, %zu transitions\n",
-                tsdb->rules().rule_count(),
-                tsdb->rules().transitions().size());
-  }
-  std::printf("cross-shard RPCs: %llu, sync rounds: %llu\n",
-              static_cast<unsigned long long>(app.RemoteCalls()),
-              static_cast<unsigned long long>(app.engine().Rounds()));
-
-  Table shard_table("per-shard engine stats");
-  shard_table.SetHeader({"shard", "events", "busy (s)", "blocked (s)",
-                         "msgs out", "msgs in"});
-  const auto& stats = app.engine().Stats();
-  for (int i = 0; i < shards; ++i) {
-    const auto& s = stats[static_cast<std::size_t>(i)];
-    shard_table.AddRow({std::to_string(i),
-                        std::to_string(app.app(i).sim().EventsProcessed()),
-                        Fmt(s.busy_s, 2), Fmt(s.blocked_s, 2),
-                        std::to_string(s.messages_sent),
-                        std::to_string(s.messages_delivered)});
-  }
-  shard_table.Print();
-  return 0;
-}
-
-int CmdRun(const Args& args) {
-  if (args.Num("shards", 1) > 1) return CmdRunSharded(args);
-  obs::ScopedTimer run_timer("cli/run");
-  auto app = MakeApp(args);
-  if (!app) return Usage();
-  const std::string controller_name = args.Get("controller", "topfull");
-  exp::Variant variant;
-  if (!ResolveVariant(controller_name, &variant)) return 2;
-
-  if (args.Has("hop-timeout") || args.Has("retries") || args.Has("retry-backoff")) {
-    app->ConfigureRpc(Seconds(args.Num("hop-timeout", 0)),
-                      static_cast<int>(args.Num("retries", 0)),
-                      Seconds(args.Num("retry-backoff", 0)));
-  }
-
-  fault::FaultSchedule faults;
-  if (args.Has("fault-profile")) {
-    std::string error;
-    const auto parsed = fault::ParseFaultProfile(args.Get("fault-profile"), *app, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "bad --fault-profile: %s\n", error.c_str());
-      return 2;
-    }
-    faults = *parsed;
-  }
-
-  exp::TelemetryOptions trace_options = exp::TelemetryOptions::FromEnv();
-  if (args.Has("trace-dir")) trace_options.dir = args.Get("trace-dir");
-  if (args.Has("trace-sample")) {
-    trace_options.sample_rate = args.Num("trace-sample", 1.0);
-  }
-  exp::Telemetry telemetry(trace_options);
-  telemetry.Attach(*app);
-
-  // The TSDB feeder chains after the SLO monitor, so it attaches second.
-  std::unique_ptr<obs::TsdbPlane> tsdb = MakeTsdbPlane(args);
-  if (tsdb != nullptr) {
-    tsdb->Attach(*app);
-    telemetry.SetTsdb(tsdb.get());
-  }
-
-  std::shared_ptr<rl::GaussianPolicy> policy;
-  if (VariantNeedsPolicy(variant)) policy = exp::GetPretrainedPolicy();
-  exp::Controllers controllers;
-  controllers.Attach(variant, *app, policy.get(), {},
-                     /*mimd_decrease=*/0.05, /*mimd_increase=*/0.01,
-                     args.Num("static-rate", 0.0));
-  if (controllers.topfull() != nullptr) telemetry.Attach(*controllers.topfull());
-
-  std::unique_ptr<autoscale::Cluster> cluster;
-  std::unique_ptr<autoscale::HorizontalPodAutoscaler> hpa;
-  if (args.Has("hpa")) {
-    cluster = std::make_unique<autoscale::Cluster>(&app->sim(),
-                                                   autoscale::ClusterConfig{});
-    hpa = std::make_unique<autoscale::HorizontalPodAutoscaler>(
-        app.get(), cluster.get(), autoscale::HpaConfig{});
-    hpa->Start();
-  }
-
-  const double duration = args.Num("duration", 120);
-  workload::TrafficDriver traffic(app.get());
-  // --surge T:N switches the user count / rate to N at time T.
-  double surge_t = -1, surge_value = 0;
-  if (args.Has("surge")) {
-    const std::string surge = args.Get("surge");
-    const auto colon = surge.find(':');
-    if (colon == std::string::npos) return Usage();
-    surge_t = std::atof(surge.substr(0, colon).c_str());
-    surge_value = std::atof(surge.substr(colon + 1).c_str());
-  }
-  if (args.Has("rps")) {
-    const double per_api = args.Num("rps", 1000) / app->NumApis();
-    for (sim::ApiId a = 0; a < app->NumApis(); ++a) {
-      workload::Schedule schedule = workload::Schedule::Constant(per_api);
-      if (surge_t >= 0) schedule.Then(Seconds(surge_t), surge_value / app->NumApis());
-      traffic.AddOpenLoop(a, std::move(schedule));
-    }
+  if (shards > 1) {
+    PrintMergedApiTable(app, spec.duration_s);
   } else {
-    workload::Schedule schedule = workload::Schedule::Constant(args.Num("users", 1000));
-    if (surge_t >= 0) schedule.Then(Seconds(surge_t), surge_value);
-    traffic.AddClosedLoop(exp::UniformUsers(*app), std::move(schedule));
+    PrintApiTable(app.app(0), spec.duration_s);
   }
-
-  fault::FaultInjector injector(
-      app.get(), faults,
-      args.Has("fault-seed")
-          ? static_cast<std::uint64_t>(args.Num("fault-seed", 0))
-          : fault::FaultInjector::kDefaultSeed);
-  if (cluster != nullptr) injector.AttachCluster(cluster.get());
-  if (!faults.empty()) injector.Arm();
-
-  int live_rc = 0;
-  std::unique_ptr<obs::LivePlane> live = MakeLivePlane(args, tsdb.get(), &live_rc);
-  if (live_rc != 0) return live_rc;
-
-  std::printf("running %s with %s for %.0f s...\n", app->name().c_str(),
-              exp::VariantName(variant).c_str(), duration);
-  {
-    obs::ScopedTimer timer("cli/simulate");
-    if (live == nullptr) {
-      app->RunFor(Seconds(duration));
-    } else {
-      obs::LiveSources sources;
-      sources.shards.push_back(
-          {app.get(), telemetry.tracer(), telemetry.monitor()});
-      sources.label = app->name();
-      sources.duration_s = duration;
-      const SimTime end = app->sim().Now() + Seconds(duration);
-      live->MaybePublish(sources);
-      while (app->sim().Now() < end) {
-        app->RunUntil(std::min(app->sim().Now() + Millis(100), end));
-        live->MaybePublish(sources);
-      }
-      live->Publish(sources, /*finished=*/true);
-    }
-  }
-  if (tsdb != nullptr) tsdb->FinishRules(ToSeconds(app->sim().Now()));
-
-  if (!injector.Log().empty()) {
-    std::printf("faults: %d state changes from %zu scheduled events\n",
-                injector.InjectionCount(), injector.schedule().size());
-    for (const auto& r : injector.Log()) {
-      std::printf("  t=%7.2fs %-20s %-8s %s%s%s severity=%.2f count=%d\n",
-                  ToSeconds(r.at), fault::FaultTypeName(r.type),
-                  fault::FaultActionName(r.action), r.service.empty() ? "" : "svc=",
-                  r.service.c_str(), r.service.empty() ? "(cluster)" : "",
-                  r.severity, r.count);
-    }
-  }
-
-  Table table("per-API results (whole run)");
-  table.SetHeader({"API", "avg offered", "avg goodput", "final p95 (ms)",
-                   "rate limit"});
-  const auto& snap = app->metrics().Latest();
-  for (sim::ApiId a = 0; a < app->NumApis(); ++a) {
-    const auto& totals = app->metrics().Totals()[a];
-    std::string limit = "-";
-    if (controllers.topfull() != nullptr) {
-      const auto value = controllers.topfull()->RateLimit(a);
-      limit = value ? Fmt(*value, 0) : "uncapped";
-    }
-    table.AddRow({app->api(a).name(),
-                  Fmt(static_cast<double>(totals.offered) / duration, 0),
-                  Fmt(app->metrics().AvgGoodput(a), 0),
-                  Fmt(snap.apis[a].latency_p95_ms, 0), limit});
-  }
-  table.Print();
-  std::printf("total avg goodput: %.0f rps\n", app->metrics().AvgTotalGoodput());
   if (tsdb != nullptr) {
     std::printf("alerts: %zu rules, %zu transitions\n",
                 tsdb->rules().rule_count(),
                 tsdb->rules().transitions().size());
   }
+  if (shards > 1) {
+    PrintShardStats(app);
+    return 0;
+  }
 
-  if (telemetry.enabled()) {
-    const exp::TelemetrySummary summary = telemetry.Export(
-        *app, exp::SanitizeFileName(app->name()), controllers.topfull(),
-        injector.Log().empty() ? nullptr : &injector.Log(),
-        /*log_stderr=*/false);
+  if (!result.telemetry.empty()) {
+    const exp::TelemetrySummary& summary = result.telemetry[0];
     std::string paths;
     for (const std::string& path : summary.paths) {
       if (!paths.empty()) paths += " ";
@@ -705,10 +584,9 @@ int CmdRun(const Args& args) {
         static_cast<unsigned long long>(summary.ticks),
         static_cast<unsigned long long>(summary.decisions), paths.c_str());
   }
-
   if (args.Has("csv")) {
     const std::string path = args.Get("csv");
-    if (exp::WriteTimelineCsv(*app, path)) {
+    if (exp::WriteTimelineCsv(app.app(0), path)) {
       std::printf("timeline written to %s\n", path.c_str());
     } else {
       std::fprintf(stderr, "failed to write %s\n", path.c_str());
@@ -747,6 +625,60 @@ int CmdReport(const Args& args) {
   return rc;
 }
 
+/// Whole-file read; false when `path` cannot be opened.
+bool Slurp(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream text;
+  text << in.rdbuf();
+  *out = text.str();
+  return true;
+}
+
+/// The run to read under `dir`: --name, else the lexicographically first
+/// `*<suffix>` file's stem. Empty (with a message on stderr) when there is
+/// none.
+std::string RunName(const Args& args, const std::string& dir,
+                    const std::string& suffix) {
+  const std::string name = args.Get("name");
+  if (!name.empty()) return name;
+  std::vector<std::string> found;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string file = entry.path().filename().string();
+    if (file.size() > suffix.size() &&
+        file.compare(file.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      found.push_back(file.substr(0, file.size() - suffix.size()));
+    }
+  }
+  if (found.empty()) {
+    std::fprintf(stderr, "no *%s under %s\n", suffix.c_str(), dir.c_str());
+    return "";
+  }
+  return *std::min_element(found.begin(), found.end());
+}
+
+/// `--url` plumbing for `query`/`alerts`: GETs `target` from a live
+/// server and prints the body. 0 = HTTP 200, 1 = error status or
+/// unreachable, 2 = bad --url.
+int PrintFromServer(const Args& args, const std::string& target) {
+  std::string host;
+  int port = 0;
+  if (!ParseServerUrl(args.Get("url"), &host, &port)) {
+    std::fprintf(stderr, "bad --url '%s' (want http://HOST:PORT)\n",
+                 args.Get("url").c_str());
+    return 2;
+  }
+  int status = 0;
+  std::string body;
+  if (!HttpGet(host, port, target, &status, &body)) {
+    std::fprintf(stderr, "cannot reach %s:%d\n", host.c_str(), port);
+    return 1;
+  }
+  std::fputs(body.c_str(), stdout);
+  return status == 200 ? 0 : 1;
+}
+
 // `serve` replays a finished run's exported artifacts over HTTP so the same
 // scrape targets work after the simulation has exited. `--name` picks a run
 // inside the directory (default: lexicographically first *.metrics.prom).
@@ -754,52 +686,27 @@ int CmdServe(const Args& args) {
   const std::string dir =
       args.Get("dir", args.positional.empty() ? "topfull-report"
                                               : args.positional[0]);
-  std::string name = args.Get("name");
-  if (name.empty()) {
-    const std::string suffix = ".metrics.prom";
-    std::vector<std::string> found;
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-      const std::string file = entry.path().filename().string();
-      if (file.size() > suffix.size() &&
-          file.compare(file.size() - suffix.size(), suffix.size(), suffix) == 0) {
-        found.push_back(file.substr(0, file.size() - suffix.size()));
-      }
-    }
-    if (found.empty()) {
-      std::fprintf(stderr, "no *.metrics.prom under %s\n", dir.c_str());
-      return 2;
-    }
-    std::sort(found.begin(), found.end());
-    name = found.front();
-  }
-  const auto slurp = [](const std::string& path, std::string* out) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream text;
-    text << in.rdbuf();
-    *out = text.str();
-    return true;
-  };
+  const std::string name = RunName(args, dir, ".metrics.prom");
+  if (name.empty()) return 2;
+  const std::string base = dir + "/" + name;
   std::string metrics, summary, alerts;
-  if (!slurp(dir + "/" + name + ".metrics.prom", &metrics)) {
-    std::fprintf(stderr, "cannot read %s/%s.metrics.prom\n", dir.c_str(),
-                 name.c_str());
+  if (!Slurp(base + ".metrics.prom", &metrics)) {
+    std::fprintf(stderr, "cannot read %s.metrics.prom\n", base.c_str());
     return 2;
   }
-  const bool have_summary = slurp(dir + "/" + name + ".summary.json", &summary);
+  const bool have_summary = Slurp(base + ".summary.json", &summary);
   // Replay the time-series artifacts when the run wrote them: /query
   // evaluates against the reloaded store (samples are %.17g, so responses
   // match the live server byte for byte); /alerts serves the saved body.
-  const bool have_alerts = slurp(dir + "/" + name + ".alerts.json", &alerts);
+  const bool have_alerts = Slurp(base + ".alerts.json", &alerts);
   std::unique_ptr<obs::Tsdb> tsdb;
   std::string tsdb_text;
-  if (slurp(dir + "/" + name + ".tsdb.json", &tsdb_text)) {
+  if (Slurp(base + ".tsdb.json", &tsdb_text)) {
     std::string error;
     tsdb = obs::TsdbFromJson(tsdb_text, &error);
     if (tsdb == nullptr) {
-      std::fprintf(stderr, "ignoring %s/%s.tsdb.json: %s\n", dir.c_str(),
-                   name.c_str(), error.c_str());
+      std::fprintf(stderr, "ignoring %s.tsdb.json: %s\n", base.c_str(),
+                   error.c_str());
     }
   }
 
@@ -853,39 +760,18 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
-/// Shared --dir plumbing for `query`/`alerts`: resolves the run name (the
-/// lexicographically first `*<suffix>` file when --name is absent) and
-/// slurps `<dir>/<name><suffix>`. False with a message on stderr.
+/// `--dir` plumbing for `query`/`alerts`: reads `<dir>/<name><suffix>`
+/// (see RunName). False with a message on stderr.
 bool LoadRunArtifact(const Args& args, const std::string& suffix,
                      std::string* out) {
   const std::string dir = args.Get("dir");
-  std::string name = args.Get("name");
-  if (name.empty()) {
-    std::vector<std::string> found;
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-      const std::string file = entry.path().filename().string();
-      if (file.size() > suffix.size() &&
-          file.compare(file.size() - suffix.size(), suffix.size(), suffix) == 0) {
-        found.push_back(file.substr(0, file.size() - suffix.size()));
-      }
-    }
-    if (found.empty()) {
-      std::fprintf(stderr, "no *%s under %s\n", suffix.c_str(), dir.c_str());
-      return false;
-    }
-    std::sort(found.begin(), found.end());
-    name = found.front();
-  }
+  const std::string name = RunName(args, dir, suffix);
+  if (name.empty()) return false;
   const std::string path = dir + "/" + name + suffix;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  if (!Slurp(path, out)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return false;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  *out = text.str();
   return true;
 }
 
@@ -909,23 +795,7 @@ int CmdQuery(const Args& args) {
     target += "&time=" + args.Get("time");
   }
 
-  if (args.Has("url")) {
-    std::string host;
-    int port = 0;
-    if (!ParseServerUrl(args.Get("url"), &host, &port)) {
-      std::fprintf(stderr, "bad --url '%s' (want http://HOST:PORT)\n",
-                   args.Get("url").c_str());
-      return 2;
-    }
-    int status = 0;
-    std::string body;
-    if (!HttpGet(host, port, target, &status, &body)) {
-      std::fprintf(stderr, "cannot reach %s:%d\n", host.c_str(), port);
-      return 1;
-    }
-    std::fputs(body.c_str(), stdout);
-    return status == 200 ? 0 : 1;
-  }
+  if (args.Has("url")) return PrintFromServer(args, target);
 
   if (!args.Has("dir")) {
     std::fprintf(stderr, "query needs --url or --dir\n");
@@ -951,23 +821,7 @@ int CmdQuery(const Args& args) {
 // `topfull alerts` prints a run's alert states + transitions: --url asks a
 // live server's /alerts endpoint, --dir prints the saved .alerts.json.
 int CmdAlerts(const Args& args) {
-  if (args.Has("url")) {
-    std::string host;
-    int port = 0;
-    if (!ParseServerUrl(args.Get("url"), &host, &port)) {
-      std::fprintf(stderr, "bad --url '%s' (want http://HOST:PORT)\n",
-                   args.Get("url").c_str());
-      return 2;
-    }
-    int status = 0;
-    std::string body;
-    if (!HttpGet(host, port, "/alerts", &status, &body)) {
-      std::fprintf(stderr, "cannot reach %s:%d\n", host.c_str(), port);
-      return 1;
-    }
-    std::fputs(body.c_str(), stdout);
-    return status == 200 ? 0 : 1;
-  }
+  if (args.Has("url")) return PrintFromServer(args, "/alerts");
   if (!args.Has("dir")) {
     std::fprintf(stderr, "alerts needs --url or --dir\n");
     return 2;
@@ -1068,15 +922,13 @@ int CmdCompare(const Args& args) {
   }
   obs::JsonValue docs[2];
   for (int i = 0; i < 2; ++i) {
-    std::ifstream in(args.positional[i]);
-    if (!in) {
+    std::string text;
+    if (!Slurp(args.positional[i], &text)) {
       std::fprintf(stderr, "cannot read %s\n", args.positional[i].c_str());
       return 2;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
     std::string error;
-    if (!obs::ParseJson(text.str(), &docs[i], &error)) {
+    if (!obs::ParseJson(text, &docs[i], &error)) {
       std::fprintf(stderr, "%s: %s\n", args.positional[i].c_str(), error.c_str());
       return 2;
     }
