@@ -14,6 +14,7 @@
 #include "common/table.hpp"
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
+#include "exp/run_executor.hpp"
 
 using namespace topfull;
 
@@ -29,17 +30,23 @@ constexpr double kEndS = 110.0;
 // variant, which carries distinct per-API business priorities by design.
 using Factory = std::function<std::unique_ptr<sim::Application>(bool dagor)>;
 
-double RunVariant(const Factory& factory, int users, exp::Variant variant,
-                  const rl::GaussianPolicy* policy) {
-  auto app = factory(variant == exp::Variant::kDagor);
-  exp::Controllers controllers;
-  controllers.Attach(variant, *app, policy);
-  workload::TrafficDriver traffic(app.get());
-  traffic.AddClosedLoop(exp::UniformUsers(*app),
-                        workload::Schedule::Constant(users / 6)
-                            .Then(Seconds(kSurgeS), users));
-  app->RunFor(Seconds(kEndS));
-  return exp::TotalGoodput(*app, kSurgeS, kEndS);
+exp::RunSpec MakeRun(const std::string& benchmark, const Factory& factory,
+                     int users, exp::Variant variant,
+                     const rl::GaussianPolicy* policy) {
+  exp::RunSpec spec;
+  spec.label = benchmark + "/" + exp::VariantName(variant);
+  spec.duration_s = kEndS;
+  spec.variant = variant;
+  spec.policy = policy;
+  spec.make_app = [factory, dagor = variant == exp::Variant::kDagor] {
+    return factory(dagor);
+  };
+  spec.traffic = [users](workload::TrafficDriver& traffic, sim::Application& app) {
+    traffic.AddClosedLoop(exp::UniformUsers(app),
+                          workload::Schedule::Constant(users / 6)
+                              .Then(Seconds(kSurgeS), users));
+  };
+  return spec;
 }
 
 }  // namespace
@@ -87,14 +94,23 @@ int main() {
       {exp::Variant::kTopFull, true},
   };
 
+  std::vector<exp::RunSpec> specs;
+  for (const auto& benchmark : benchmarks) {
+    for (const auto& [variant, needs_policy] : variants) {
+      specs.push_back(MakeRun(benchmark.name, benchmark.factory, benchmark.users,
+                              variant, needs_policy ? policy.get() : nullptr));
+    }
+  }
+  const std::vector<exp::RunResult> results = exp::RunExecutor().Execute(specs);
+
+  std::size_t next = 0;
   for (const auto& benchmark : benchmarks) {
     Table table(std::string(benchmark.name) + " (avg total goodput, rps)");
     table.SetHeader({"variant", "goodput", "vs TopFull"});
     double topfull_goodput = 0.0;
     std::vector<std::pair<std::string, double>> rows;
     for (const auto& [variant, needs_policy] : variants) {
-      const double g = RunVariant(benchmark.factory, benchmark.users, variant,
-                                  needs_policy ? policy.get() : nullptr);
+      const double g = exp::TotalGoodput(*results[next++].app, kSurgeS, kEndS);
       rows.emplace_back(exp::VariantName(variant), g);
       if (variant == exp::Variant::kTopFull) topfull_goodput = g;
     }

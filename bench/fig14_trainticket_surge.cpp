@@ -8,11 +8,11 @@
 #include <cstdio>
 
 #include "apps/train_ticket.hpp"
-#include "autoscale/hpa.hpp"
 #include "common/table.hpp"
 #include "exp/csv.hpp"
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
+#include "exp/run_executor.hpp"
 
 using namespace topfull;
 
@@ -23,33 +23,31 @@ constexpr double kEndS = 300.0;
 constexpr int kBaseUsers = 700;
 constexpr int kSurgeUsers = 4200;
 
-std::unique_ptr<sim::Application> Run(exp::Variant variant,
-                                      const rl::GaussianPolicy* policy) {
-  apps::TrainTicketOptions options;
-  options.seed = 61;
-  options.probe_failures = true;  // pods crash-loop under sustained queueing
-  auto app = apps::MakeTrainTicket(options);
-
-  autoscale::ClusterConfig cluster_config;
-  cluster_config.initial_vms = 3;
-  cluster_config.vcpus_per_vm = 36.0;  // surge demand exceeds the pool: the
-                                       // autoscaler cannot fully absorb it
-  cluster_config.max_vms = 3;
-  cluster_config.vm_startup = Seconds(60);
-  autoscale::Cluster cluster(&app->sim(), cluster_config);
-  autoscale::HpaConfig hpa_config;
-  autoscale::HorizontalPodAutoscaler hpa(app.get(), &cluster, hpa_config);
-  hpa.Start();
-
-  exp::Controllers controllers;
-  controllers.Attach(variant, *app, policy);
-
-  workload::TrafficDriver traffic(app.get());
-  traffic.AddClosedLoop(exp::UniformUsers(*app),
-                        workload::Schedule::Constant(kBaseUsers)
-                            .Then(Seconds(kSurgeS), kSurgeUsers));
-  app->RunFor(Seconds(kEndS));
-  return app;
+exp::RunSpec MakeRun(exp::Variant variant, const rl::GaussianPolicy* policy) {
+  exp::RunSpec spec;
+  spec.label = exp::VariantName(variant);
+  spec.duration_s = kEndS;
+  spec.variant = variant;
+  spec.policy = policy;
+  spec.make_app = [] {
+    apps::TrainTicketOptions options;
+    options.seed = 61;
+    options.probe_failures = true;  // pods crash-loop under sustained queueing
+    return apps::MakeTrainTicket(options);
+  };
+  autoscale::ClusterConfig cluster;
+  cluster.initial_vms = 3;
+  cluster.vcpus_per_vm = 36.0;  // surge demand exceeds the pool: the
+                                // autoscaler cannot fully absorb it
+  cluster.max_vms = 3;
+  cluster.vm_startup = Seconds(60);
+  spec.hpa = cluster;
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    traffic.AddClosedLoop(exp::UniformUsers(app),
+                          workload::Schedule::Constant(kBaseUsers)
+                              .Then(Seconds(kSurgeS), kSurgeUsers));
+  };
+  return spec;
 }
 
 }  // namespace
@@ -61,9 +59,13 @@ int main() {
                   " users at t=40 s: per-API goodput and total timeline.");
   auto policy = exp::GetPretrainedPolicy();
 
-  auto solo = Run(exp::Variant::kNoControl, nullptr);
-  auto bw = Run(exp::Variant::kTopFullBw, nullptr);
-  auto topfull = Run(exp::Variant::kTopFull, policy.get());
+  const std::vector<exp::RunResult> results = exp::RunExecutor().Execute(
+      {MakeRun(exp::Variant::kNoControl, nullptr),
+       MakeRun(exp::Variant::kTopFullBw, nullptr),
+       MakeRun(exp::Variant::kTopFull, policy.get())});
+  const sim::Application& solo = *results[0].app;
+  const sim::Application& bw = *results[1].app;
+  const sim::Application& topfull = *results[2].app;
 
   Table per_api("(a) avg goodput per API during surge (rps)");
   per_api.SetHeader({"variant", "API1", "API2", "API3", "API4", "API5", "API6",
@@ -71,29 +73,29 @@ int main() {
   auto add = [&](const char* name, const sim::Application& app) {
     per_api.AddRow(name, exp::PerApiGoodputRow(app, kSurgeS, kEndS), 0);
   };
-  add("autoscaler", *solo);
-  add("TopFull(BW)+AS", *bw);
-  add("TopFull+AS", *topfull);
+  add("autoscaler", solo);
+  add("TopFull(BW)+AS", bw);
+  add("TopFull+AS", topfull);
   per_api.Print();
 
   Table timeline("\n(b) total goodput timeline (rps, 10 s bins)");
   timeline.SetHeader({"t(s)", "autoscaler", "TopFull(BW)+AS", "TopFull+AS"});
   for (double t = 0.0; t + 10.0 <= kEndS; t += 10.0) {
     timeline.AddRow(Fmt(t + 10.0, 0),
-                    {exp::TotalGoodput(*solo, t, t + 10),
-                     exp::TotalGoodput(*bw, t, t + 10),
-                     exp::TotalGoodput(*topfull, t, t + 10)},
+                    {exp::TotalGoodput(solo, t, t + 10),
+                     exp::TotalGoodput(bw, t, t + 10),
+                     exp::TotalGoodput(topfull, t, t + 10)},
                     0);
   }
   timeline.Print();
 
-  exp::MaybeExportTimeline(*solo, "fig14_autoscaler");
-  exp::MaybeExportTimeline(*bw, "fig14_topfull_bw");
-  exp::MaybeExportTimeline(*topfull, "fig14_topfull");
+  exp::MaybeExportTimeline(solo, "fig14_autoscaler");
+  exp::MaybeExportTimeline(bw, "fig14_topfull_bw");
+  exp::MaybeExportTimeline(topfull, "fig14_topfull");
 
-  const double g_solo = exp::TotalGoodput(*solo, kSurgeS, kEndS);
-  const double g_bw = exp::TotalGoodput(*bw, kSurgeS, kEndS);
-  const double g_tf = exp::TotalGoodput(*topfull, kSurgeS, kEndS);
+  const double g_solo = exp::TotalGoodput(solo, kSurgeS, kEndS);
+  const double g_bw = exp::TotalGoodput(bw, kSurgeS, kEndS);
+  const double g_tf = exp::TotalGoodput(topfull, kSurgeS, kEndS);
   std::printf("\nTopFull vs autoscaler:  %.2fx (paper: 1.38x)\n", g_tf / g_solo);
   std::printf("TopFull vs TopFull(BW): %.2fx (paper: 1.75x)\n", g_tf / g_bw);
   return 0;

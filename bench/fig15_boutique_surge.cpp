@@ -7,10 +7,10 @@
 #include <cstdio>
 
 #include "apps/online_boutique.hpp"
-#include "autoscale/hpa.hpp"
 #include "common/table.hpp"
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
+#include "exp/run_executor.hpp"
 
 using namespace topfull;
 
@@ -21,39 +21,29 @@ constexpr double kEndS = 300.0;
 constexpr int kBaseUsers = 600;
 constexpr int kSurgeUsers = 4200;
 
-struct RunOutput {
-  std::unique_ptr<sim::Application> app;
-  int probe_kills = 0;
-};
-
-RunOutput Run(exp::Variant variant, const rl::GaussianPolicy* policy) {
-  apps::BoutiqueOptions options;
-  options.seed = 67;
-  options.probe_failures = true;  // the Fig. 15 failure mode
-  auto app = apps::MakeOnlineBoutique(options);
-
-  autoscale::ClusterConfig cluster_config;
-  cluster_config.initial_vms = 1;
-  cluster_config.max_vms = 3;
-  cluster_config.vm_startup = Seconds(60);
-  autoscale::Cluster cluster(&app->sim(), cluster_config);
-  autoscale::HorizontalPodAutoscaler hpa(app.get(), &cluster, {});
-  hpa.Start();
-
-  exp::Controllers controllers;
-  controllers.Attach(variant, *app, policy);
-
-  workload::TrafficDriver traffic(app.get());
-  traffic.AddClosedLoop(exp::UniformUsers(*app),
-                        workload::Schedule::Constant(kBaseUsers)
-                            .Then(Seconds(kSurgeS), kSurgeUsers));
-  app->RunFor(Seconds(kEndS));
-
-  RunOutput out;
-  const sim::ServiceId recommendation = app->FindService("recommendation");
-  out.probe_kills = app->service(recommendation).ProbeKills();
-  out.app = std::move(app);
-  return out;
+exp::RunSpec MakeRun(exp::Variant variant, const rl::GaussianPolicy* policy) {
+  exp::RunSpec spec;
+  spec.label = exp::VariantName(variant);
+  spec.duration_s = kEndS;
+  spec.variant = variant;
+  spec.policy = policy;
+  spec.make_app = [] {
+    apps::BoutiqueOptions options;
+    options.seed = 67;
+    options.probe_failures = true;  // the Fig. 15 failure mode
+    return apps::MakeOnlineBoutique(options);
+  };
+  autoscale::ClusterConfig cluster;
+  cluster.initial_vms = 1;
+  cluster.max_vms = 3;
+  cluster.vm_startup = Seconds(60);
+  spec.hpa = cluster;
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    traffic.AddClosedLoop(exp::UniformUsers(app),
+                          workload::Schedule::Constant(kBaseUsers)
+                              .Then(Seconds(kSurgeS), kSurgeUsers));
+  };
+  return spec;
 }
 
 }  // namespace
@@ -64,16 +54,20 @@ int main() {
               "at t=40 s: per-API goodput and total timeline.");
   auto policy = exp::GetPretrainedPolicy();
 
-  auto solo = Run(exp::Variant::kNoControl, nullptr);
-  auto bw = Run(exp::Variant::kTopFullBw, nullptr);
-  auto topfull = Run(exp::Variant::kTopFull, policy.get());
+  const std::vector<exp::RunResult> results = exp::RunExecutor().Execute(
+      {MakeRun(exp::Variant::kNoControl, nullptr),
+       MakeRun(exp::Variant::kTopFullBw, nullptr),
+       MakeRun(exp::Variant::kTopFull, policy.get())});
+  const sim::Application& solo = *results[0].app;
+  const sim::Application& bw = *results[1].app;
+  const sim::Application& topfull = *results[2].app;
 
   Table per_api("(a) avg goodput per API during surge (rps)");
   per_api.SetHeader({"variant", "API1", "API2", "API3", "API4", "API5", "total",
                      "rec pod kills"});
-  auto add = [&](const char* name, const RunOutput& run) {
-    std::vector<double> row = exp::PerApiGoodputRow(*run.app, kSurgeS, kEndS);
-    row.push_back(run.probe_kills);
+  auto add = [&](const char* name, const sim::Application& app) {
+    std::vector<double> row = exp::PerApiGoodputRow(app, kSurgeS, kEndS);
+    row.push_back(app.service(app.FindService("recommendation")).ProbeKills());
     per_api.AddRow(name, row, 0);
   };
   add("autoscaler", solo);
@@ -85,16 +79,16 @@ int main() {
   timeline.SetHeader({"t(s)", "autoscaler", "TopFull(BW)+AS", "TopFull+AS"});
   for (double t = 0.0; t + 10.0 <= kEndS; t += 10.0) {
     timeline.AddRow(Fmt(t + 10.0, 0),
-                    {exp::TotalGoodput(*solo.app, t, t + 10),
-                     exp::TotalGoodput(*bw.app, t, t + 10),
-                     exp::TotalGoodput(*topfull.app, t, t + 10)},
+                    {exp::TotalGoodput(solo, t, t + 10),
+                     exp::TotalGoodput(bw, t, t + 10),
+                     exp::TotalGoodput(topfull, t, t + 10)},
                     0);
   }
   timeline.Print();
 
-  const double g_solo = exp::TotalGoodput(*solo.app, kSurgeS, kEndS);
-  const double g_bw = exp::TotalGoodput(*bw.app, kSurgeS, kEndS);
-  const double g_tf = exp::TotalGoodput(*topfull.app, kSurgeS, kEndS);
+  const double g_solo = exp::TotalGoodput(solo, kSurgeS, kEndS);
+  const double g_bw = exp::TotalGoodput(bw, kSurgeS, kEndS);
+  const double g_tf = exp::TotalGoodput(topfull, kSurgeS, kEndS);
   std::printf("\nTopFull vs autoscaler:  %.2fx (paper: 3.91x)\n", g_tf / g_solo);
   std::printf("TopFull vs TopFull(BW): %.2fx (paper: 1.19x)\n", g_tf / g_bw);
   return 0;

@@ -13,11 +13,11 @@
 
 #include "apps/online_boutique.hpp"
 #include "apps/train_ticket.hpp"
-#include "autoscale/hpa.hpp"
 #include "common/table.hpp"
 #include "exp/harness.hpp"
 #include "exp/microservice_env.hpp"
 #include "exp/model_cache.hpp"
+#include "exp/run_executor.hpp"
 
 using namespace topfull;
 
@@ -62,29 +62,32 @@ std::shared_ptr<rl::GaussianPolicy> FineTune(
   return policy;
 }
 
-double RunSurge(const rl::GaussianPolicy* policy, bool topfull) {
+/// The surge run under `policy`; the standalone autoscaler when null.
+exp::RunSpec MakeSurge(const std::string& label, const rl::GaussianPolicy* policy) {
   // Same scenario as Fig. 14: capacity-capped cluster, pods that crash-loop
   // under sustained queueing.
-  apps::TrainTicketOptions options;
-  options.seed = 79;
-  options.probe_failures = true;
-  auto app = apps::MakeTrainTicket(options);
-  autoscale::ClusterConfig cluster_config;
-  cluster_config.vcpus_per_vm = 36.0;
-  cluster_config.initial_vms = 3;
-  cluster_config.max_vms = 3;
-  cluster_config.vm_startup = Seconds(60);
-  autoscale::Cluster cluster(&app->sim(), cluster_config);
-  autoscale::HorizontalPodAutoscaler hpa(app.get(), &cluster, {});
-  hpa.Start();
-  exp::Controllers controllers;
-  controllers.Attach(topfull ? exp::Variant::kTopFull : exp::Variant::kNoControl,
-                     *app, policy);
-  workload::TrafficDriver traffic(app.get());
-  traffic.AddClosedLoop(exp::UniformUsers(*app),
-                        workload::Schedule::Constant(700).Then(Seconds(kSurgeS), 4200));
-  app->RunFor(Seconds(kEndS));
-  return exp::TotalGoodput(*app, kSurgeS, kEndS);
+  exp::RunSpec spec;
+  spec.label = label;
+  spec.duration_s = kEndS;
+  spec.variant = policy != nullptr ? exp::Variant::kTopFull : exp::Variant::kNoControl;
+  spec.policy = policy;
+  spec.make_app = [] {
+    apps::TrainTicketOptions options;
+    options.seed = 79;
+    options.probe_failures = true;
+    return apps::MakeTrainTicket(options);
+  };
+  autoscale::ClusterConfig cluster;
+  cluster.vcpus_per_vm = 36.0;
+  cluster.initial_vms = 3;
+  cluster.max_vms = 3;
+  cluster.vm_startup = Seconds(60);
+  spec.hpa = cluster;
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    traffic.AddClosedLoop(exp::UniformUsers(app),
+                          workload::Schedule::Constant(700).Then(Seconds(kSurgeS), 4200));
+  };
+  return spec;
 }
 
 }  // namespace
@@ -114,17 +117,21 @@ int main() {
 
   Table table("avg total goodput during surge (rps)");
   table.SetHeader({"model", "goodput", "vs autoscaler"});
-  const double solo = RunSurge(nullptr, /*topfull=*/false);
   struct Row {
     const char* name;
     const rl::GaussianPolicy* policy;
   };
-  for (const Row& row : {Row{"autoscaler only", nullptr},
-                         Row{"base (simulator only)", base.get()},
-                         Row{"Transfer-OB", transfer_ob.get()},
-                         Row{"Transfer-TT", transfer_tt.get()}}) {
-    const double g = row.policy == nullptr ? solo : RunSurge(row.policy, true);
-    table.AddRow({row.name, Fmt(g, 0), Fmt(g / solo, 2) + "x"});
+  const Row rows[] = {{"autoscaler only", nullptr},
+                      {"base (simulator only)", base.get()},
+                      {"Transfer-OB", transfer_ob.get()},
+                      {"Transfer-TT", transfer_tt.get()}};
+  std::vector<exp::RunSpec> specs;
+  for (const Row& row : rows) specs.push_back(MakeSurge(row.name, row.policy));
+  const std::vector<exp::RunResult> results = exp::RunExecutor().Execute(specs);
+  const double solo = exp::TotalGoodput(*results[0].app, kSurgeS, kEndS);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const double g = exp::TotalGoodput(*results[i].app, kSurgeS, kEndS);
+    table.AddRow({rows[i].name, Fmt(g, 0), Fmt(g / solo, 2) + "x"});
   }
   table.Print();
   std::printf("\nPaper: base 1.13x autoscaler (939 vs 829 rps); Transfer-TT "

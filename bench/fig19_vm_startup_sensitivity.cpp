@@ -8,10 +8,10 @@
 #include <cstdio>
 
 #include "apps/online_boutique.hpp"
-#include "autoscale/hpa.hpp"
 #include "common/table.hpp"
 #include "exp/harness.hpp"
 #include "exp/model_cache.hpp"
+#include "exp/run_executor.hpp"
 
 using namespace topfull;
 
@@ -21,30 +21,33 @@ constexpr double kSurgeS = 30.0;
 constexpr double kSurgeLenS = 160.0;  // paper: 160 s surge
 constexpr double kEndS = 220.0;
 
-double Run(exp::Variant variant, const rl::GaussianPolicy* policy,
-           double vm_startup_s) {
-  apps::BoutiqueOptions options;
-  options.seed = 89;
-  options.probe_failures = true;
-  auto app = apps::MakeOnlineBoutique(options);
-  autoscale::ClusterConfig cluster_config;
+exp::RunSpec MakeRun(exp::Variant variant, const rl::GaussianPolicy* policy,
+                     double vm_startup_s) {
+  exp::RunSpec spec;
+  spec.label = exp::VariantName(variant) + "/startup" + Fmt(vm_startup_s, 0) + "s";
+  spec.duration_s = kEndS;
+  spec.variant = variant;
+  spec.policy = policy;
+  spec.make_app = [] {
+    apps::BoutiqueOptions options;
+    options.seed = 89;
+    options.probe_failures = true;
+    return apps::MakeOnlineBoutique(options);
+  };
+  autoscale::ClusterConfig cluster;
   // Small VMs so the surge immediately exhausts the pool: how fast new VMs
   // arrive (the swept startup time) is then what gates the autoscaler.
-  cluster_config.vcpus_per_vm = 24.0;
-  cluster_config.initial_vms = 1;
-  cluster_config.max_vms = 6;
-  cluster_config.vm_startup = Seconds(vm_startup_s);
-  autoscale::Cluster cluster(&app->sim(), cluster_config);
-  autoscale::HorizontalPodAutoscaler hpa(app.get(), &cluster, {});
-  hpa.Start();
-  exp::Controllers controllers;
-  controllers.Attach(variant, *app, policy);
-  workload::TrafficDriver traffic(app.get());
-  traffic.AddClosedLoop(exp::UniformUsers(*app),
-                        workload::Schedule::Spike(600, Seconds(kSurgeS),
-                                                  Seconds(kSurgeLenS), 3600));
-  app->RunFor(Seconds(kEndS));
-  return exp::TotalGoodput(*app, kSurgeS, kSurgeS + kSurgeLenS);
+  cluster.vcpus_per_vm = 24.0;
+  cluster.initial_vms = 1;
+  cluster.max_vms = 6;
+  cluster.vm_startup = Seconds(vm_startup_s);
+  spec.hpa = cluster;
+  spec.traffic = [](workload::TrafficDriver& traffic, sim::Application& app) {
+    traffic.AddClosedLoop(exp::UniformUsers(app),
+                          workload::Schedule::Spike(600, Seconds(kSurgeS),
+                                                    Seconds(kSurgeLenS), 3600));
+  };
+  return spec;
 }
 
 }  // namespace
@@ -57,10 +60,19 @@ int main() {
 
   Table table("avg goodput during the 160 s surge (rps)");
   table.SetHeader({"VM startup", "autoscaler", "TopFull+AS", "gain"});
-  for (const double startup : {20.0, 40.0, 60.0}) {
-    const double solo = Run(exp::Variant::kNoControl, nullptr, startup);
-    const double tf = Run(exp::Variant::kTopFull, policy.get(), startup);
-    table.AddRow({Fmt(startup, 0) + "s", Fmt(solo, 0), Fmt(tf, 0),
+  const double startups[] = {20.0, 40.0, 60.0};
+  std::vector<exp::RunSpec> specs;
+  for (const double startup : startups) {
+    specs.push_back(MakeRun(exp::Variant::kNoControl, nullptr, startup));
+    specs.push_back(MakeRun(exp::Variant::kTopFull, policy.get(), startup));
+  }
+  const std::vector<exp::RunResult> results = exp::RunExecutor().Execute(specs);
+  for (std::size_t i = 0; i < std::size(startups); ++i) {
+    const double solo =
+        exp::TotalGoodput(*results[2 * i].app, kSurgeS, kSurgeS + kSurgeLenS);
+    const double tf =
+        exp::TotalGoodput(*results[2 * i + 1].app, kSurgeS, kSurgeS + kSurgeLenS);
+    table.AddRow({Fmt(startups[i], 0) + "s", Fmt(solo, 0), Fmt(tf, 0),
                   Fmt(tf / std::max(1.0, solo), 2) + "x"});
   }
   table.Print();

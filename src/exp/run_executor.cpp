@@ -14,6 +14,7 @@ RunResult RunExecutor::RunOne(const RunSpec& spec,
   result.label = std::move(sharded.label);
   result.app = sharded.app->ReleaseSingle();
   result.fault_log = std::move(sharded.fault_log);
+  result.pool_outcomes = std::move(sharded.pool_outcomes);
   return result;
 }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "autoscale/cluster.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/harness.hpp"
 #include "fault/fault.hpp"
@@ -59,10 +60,11 @@ struct RunSpec {
   fault::FaultSchedule faults;
   std::uint64_t fault_seed = fault::FaultInjector::kDefaultSeed;
 
-  /// Starts a horizontal pod autoscaler (default config, default cluster)
-  /// after the controllers, and lets VM-outage faults act on its cluster.
-  /// Single-shard runs only (RunShardedSpec throws otherwise).
-  bool hpa = false;
+  /// When set, starts a horizontal pod autoscaler (default HpaConfig) on a
+  /// cluster of this shape after the controllers, and lets VM-outage
+  /// faults act on that cluster. Single-shard runs only (RunShardedSpec
+  /// throws otherwise).
+  std::optional<autoscale::ClusterConfig> hpa;
 
   /// Telemetry export settings; unset reads TOPFULL_TRACE_DIR and
   /// TOPFULL_TRACE_SAMPLE (TelemetryOptions::FromEnv).
@@ -90,6 +92,9 @@ struct RunResult {
   std::unique_ptr<sim::Application> app;
   /// What the fault injector actually did (empty when no faults ran).
   std::vector<fault::FaultRecord> fault_log;
+  /// Per-user outcomes of each closed-loop pool, in the order the traffic
+  /// hook added the pools.
+  std::vector<std::vector<workload::UserOutcomes>> pool_outcomes;
 };
 
 class RunExecutor {

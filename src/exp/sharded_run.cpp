@@ -102,8 +102,7 @@ ShardedRunResult RunShardedSpec(const RunSpec& spec,
     }
 
     if (spec.hpa) {
-      cluster = std::make_unique<autoscale::Cluster>(
-          &app.sim(), autoscale::ClusterConfig{});
+      cluster = std::make_unique<autoscale::Cluster>(&app.sim(), *spec.hpa);
       hpa = std::make_unique<autoscale::HorizontalPodAutoscaler>(
           &app, cluster.get(), autoscale::HpaConfig{});
       hpa->Start();
@@ -159,6 +158,18 @@ ShardedRunResult RunShardedSpec(const RunSpec& spec,
       [](const fault::FaultRecord& a, const fault::FaultRecord& b) {
         return a.at < b.at;
       });
+
+  for (const auto& driver : traffic) {
+    const auto& pools = driver->pools();
+    if (result.pool_outcomes.size() < pools.size()) {
+      result.pool_outcomes.resize(pools.size());
+    }
+    for (std::size_t p = 0; p < pools.size(); ++p) {
+      const auto& users = pools[p]->Outcomes();
+      result.pool_outcomes[p].insert(result.pool_outcomes[p].end(),
+                                     users.begin(), users.end());
+    }
+  }
 
   if (telemetry_options.enabled()) {
     obs::ScopedTimer timer("exp/export_telemetry");

@@ -5,23 +5,11 @@
 #include <fstream>
 
 #include "core/controller.hpp"
+#include "obs/snapshot.hpp"
 
 namespace topfull::obs {
 
 namespace {
-
-/// Deterministic, locale-independent double formatting.
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string U64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 const char* OutcomeName(sim::Outcome outcome) {
   switch (outcome) {

@@ -257,7 +257,10 @@ struct Parser {
       errno = 0;
       char* end = nullptr;
       const long long parsed = std::strtoll(ts.c_str(), &end, 10);
-      if (errno != 0 || end != ts.c_str() + ts.size()) {
+      // strtoll also takes leading blanks and a '+' sign; an exposition
+      // timestamp is a bare, optionally negative, integer.
+      if (errno != 0 || end != ts.c_str() + ts.size() ||
+          !(ts[0] == '-' || (ts[0] >= '0' && ts[0] <= '9'))) {
         return Fail("bad timestamp '" + ts + "'");
       }
       sample.has_timestamp = true;

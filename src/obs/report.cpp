@@ -7,22 +7,11 @@
 
 #include "core/controller.hpp"
 #include "obs/export.hpp"
+#include "obs/snapshot.hpp"
 
 namespace topfull::obs {
 
 namespace {
-
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string U64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 std::string Quote(const std::string& s) { return "\"" + JsonEscape(s) + "\""; }
 

@@ -1,19 +1,18 @@
 #include "obs/rules.hpp"
 
 #include <cmath>
-#include <cstdio>
+
+#include "obs/snapshot.hpp"
 
 namespace topfull::obs {
 
 namespace {
 
-std::string Num(double v) {
+std::string QuotedNum(double v) {
   // An infinite alert value (e.g. a burn ratio with a zero denominator)
   // must not leak bare "inf" into the JSON body.
   if (!std::isfinite(v)) return std::isnan(v) ? "\"nan\"" : v > 0 ? "\"inf\"" : "\"-inf\"";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
+  return Num(v);
 }
 
 /// The SLO bad-fraction burn expression over one window, as a multiple of
@@ -130,23 +129,23 @@ double RuleEngine::last_eval_s() const {
 std::string RuleEngine::AlertsJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"status\":\"success\",\"data\":{\"last_eval_s\":" +
-                    Num(last_eval_s_) + ",\"alerts\":[";
+                    QuotedNum(last_eval_s_) + ",\"alerts\":[";
   for (std::size_t i = 0; i < alerts_.size(); ++i) {
     const AlertStatus& alert = alerts_[i];
     if (i > 0) out += ",";
     out += "{\"name\":\"" + JsonEscape(alert.rule.name) + "\",\"severity\":\"" +
            JsonEscape(alert.rule.severity) + "\",\"for_s\":" +
-           Num(alert.rule.for_s) + ",\"state\":\"" +
+           QuotedNum(alert.rule.for_s) + ",\"state\":\"" +
            AlertStateName(alert.state) + "\",\"since_s\":" +
-           Num(alert.since_s) + ",\"value\":" + Num(alert.value) + "}";
+           QuotedNum(alert.since_s) + ",\"value\":" + QuotedNum(alert.value) + "}";
   }
   out += "],\"transitions\":[";
   for (std::size_t i = 0; i < transitions_.size(); ++i) {
     const AlertTransition& tr = transitions_[i];
     if (i > 0) out += ",";
-    out += "{\"t_s\":" + Num(tr.t_s) + ",\"rule\":\"" + JsonEscape(tr.rule) +
+    out += "{\"t_s\":" + QuotedNum(tr.t_s) + ",\"rule\":\"" + JsonEscape(tr.rule) +
            "\",\"from\":\"" + AlertStateName(tr.from) + "\",\"to\":\"" +
-           AlertStateName(tr.to) + "\",\"value\":" + Num(tr.value) + "}";
+           AlertStateName(tr.to) + "\",\"value\":" + QuotedNum(tr.value) + "}";
   }
   out += "]}}\n";
   return out;

@@ -42,7 +42,10 @@ std::unique_ptr<SloMonitor> SloMonitor::ForApp(sim::Application& app,
   }
   auto monitor = std::make_unique<SloMonitor>(std::move(api_names),
                                               std::move(service_names), config);
-  monitor->BindRegistry(&app.metrics_registry());
+  monitor->next_ = app.metrics().window_observer();
+  if (dynamic_cast<SloMonitor*>(monitor->next_) == nullptr) {
+    monitor->BindRegistry(&app.metrics_registry());
+  }
   app.metrics().SetWindowObserver(monitor.get());
   return monitor;
 }
@@ -191,6 +194,7 @@ void SloMonitor::ObserveOscillation(const sim::Snapshot& snap) {
 }
 
 void SloMonitor::OnWindow(const sim::Snapshot& snap) {
+  if (next_ != nullptr) next_->OnWindow(snap);
   ObserveBurn(snap);
   ObserveOverload(snap);
   ObserveStarvation(snap);

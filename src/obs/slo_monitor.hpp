@@ -83,9 +83,12 @@ class SloMonitor : public sim::WindowObserver {
              std::vector<std::string> service_names, SloMonitorConfig config = {});
 
   /// Builds a monitor for `app` (names, window/SLO parameters from its
-  /// config), installs it as the window observer and binds the event
-  /// counters into the app's registry. The caller owns the monitor and
-  /// must keep it alive for the run.
+  /// config) and installs it as the window observer, chained after any
+  /// observer installed earlier (which still sees every window, first).
+  /// The monitor binds the event counters into the app's registry unless
+  /// it chains directly after another monitor, which already counts the
+  /// same windows. The caller owns the monitor and must keep it alive for
+  /// the run.
   static std::unique_ptr<SloMonitor> ForApp(sim::Application& app,
                                             SloMonitorConfig config = {});
 
@@ -117,6 +120,7 @@ class SloMonitor : public sim::WindowObserver {
   std::vector<std::string> service_names_;
   const DecisionLog* decision_log_ = nullptr;
   MetricsRegistry* registry_ = nullptr;
+  sim::WindowObserver* next_ = nullptr;  ///< observer installed before ForApp
 
   std::vector<SloEvent> events_;
 

@@ -1,29 +1,13 @@
 #include "obs/snapshot.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <set>
 #include <utility>
 
 namespace topfull::obs {
 
 namespace {
-
-/// Deterministic, locale-independent double formatting.
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string U64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 /// Sample-value rendering: Prometheus spells out non-finite values.
 std::string PromNum(double v) {
@@ -121,6 +105,18 @@ std::string PromEscapeHelp(const std::string& s) {
     }
   }
   return out;
+}
+
+std::string Num(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.10g", v);
+  return buf;
+}
+
+std::string U64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
+  return buf;
 }
 
 std::string JsonEscape(const std::string& s) {
@@ -385,162 +381,6 @@ std::string RunStateJson(const MetricsSnapshot& snapshot) {
            ",\"blocked_s\":" + JsonNum(s.blocked_s) + "}";
   }
   return out + "]}";
-}
-
-// --- Validator --------------------------------------------------------------
-
-namespace {
-
-bool IsNameStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
-
-bool IsNameChar(char c) {
-  return IsNameStart(c) || std::isdigit(static_cast<unsigned char>(c));
-}
-
-/// Parses a metric name at `pos`; returns empty on failure.
-std::string ParseName(const std::string& line, std::size_t* pos) {
-  std::size_t i = *pos;
-  if (i >= line.size() || !IsNameStart(line[i])) return "";
-  while (i < line.size() && IsNameChar(line[i])) ++i;
-  std::string name = line.substr(*pos, i - *pos);
-  *pos = i;
-  return name;
-}
-
-/// Parses a {k="v",...} label block at `pos` (which must point at '{').
-bool ParseLabelBlock(const std::string& line, std::size_t* pos) {
-  std::size_t i = *pos + 1;  // skip '{'
-  if (i < line.size() && line[i] == '}') {
-    *pos = i + 1;
-    return true;
-  }
-  while (true) {
-    std::size_t name_pos = i;
-    if (ParseName(line, &name_pos).empty()) return false;
-    i = name_pos;
-    if (i >= line.size() || line[i] != '=') return false;
-    ++i;
-    if (i >= line.size() || line[i] != '"') return false;
-    ++i;
-    while (i < line.size() && line[i] != '"') {
-      if (line[i] == '\\') ++i;  // escaped char
-      ++i;
-    }
-    if (i >= line.size()) return false;  // unterminated value
-    ++i;                                 // skip closing quote
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < line.size() && line[i] == '}') {
-      *pos = i + 1;
-      return true;
-    }
-    return false;
-  }
-}
-
-bool ParseSampleValue(const std::string& token) {
-  if (token == "NaN" || token == "+Inf" || token == "-Inf") return true;
-  if (token.empty()) return false;
-  char* end = nullptr;
-  std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size();
-}
-
-/// Strips a histogram series suffix; returns the base family name.
-std::string HistogramBase(const std::string& name) {
-  for (const char* suffix : {"_bucket", "_sum", "_count"}) {
-    const std::string s(suffix);
-    if (name.size() > s.size() &&
-        name.compare(name.size() - s.size(), s.size(), s) == 0) {
-      return name.substr(0, name.size() - s.size());
-    }
-  }
-  return name;
-}
-
-}  // namespace
-
-bool ValidatePromText(const std::string& text, std::string* error) {
-  const auto fail = [error](std::size_t line_no, const std::string& line,
-                            const char* why) {
-    if (error != nullptr) {
-      *error = "line " + U64(line_no) + ": " + why + ": " + line;
-    }
-    return false;
-  };
-
-  std::set<std::string> typed;         // family name -> has a # TYPE line
-  std::set<std::string> histograms;    // families typed histogram
-  std::size_t line_no = 0;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    start = end + 1;
-    ++line_no;
-    if (line.empty()) continue;
-
-    if (line[0] == '#') {
-      // "# TYPE name type" / "# HELP name text" / free-form comment.
-      if (line.rfind("# TYPE ", 0) == 0) {
-        std::size_t pos = 7;
-        const std::string name = ParseName(line, &pos);
-        if (name.empty() || pos >= line.size() || line[pos] != ' ') {
-          return fail(line_no, line, "malformed # TYPE");
-        }
-        const std::string type = line.substr(pos + 1);
-        if (type != "counter" && type != "gauge" && type != "histogram" &&
-            type != "summary" && type != "untyped") {
-          return fail(line_no, line, "unknown metric type");
-        }
-        typed.insert(name);
-        if (type == "histogram") histograms.insert(name);
-      } else if (line.rfind("# HELP ", 0) == 0) {
-        std::size_t pos = 7;
-        if (ParseName(line, &pos).empty()) {
-          return fail(line_no, line, "malformed # HELP");
-        }
-      }
-      continue;
-    }
-
-    std::size_t pos = 0;
-    const std::string name = ParseName(line, &pos);
-    if (name.empty()) return fail(line_no, line, "bad metric name");
-    const std::string base = HistogramBase(name);
-    if (typed.count(name) == 0 &&
-        !(histograms.count(base) != 0 && base != name)) {
-      return fail(line_no, line, "sample without preceding # TYPE");
-    }
-    if (pos < line.size() && line[pos] == '{') {
-      if (!ParseLabelBlock(line, &pos)) {
-        return fail(line_no, line, "malformed label block");
-      }
-    }
-    if (pos >= line.size() || line[pos] != ' ') {
-      return fail(line_no, line, "missing sample value");
-    }
-    const std::size_t value_start = pos + 1;
-    std::size_t value_end = line.find(' ', value_start);
-    if (value_end == std::string::npos) value_end = line.size();
-    if (!ParseSampleValue(line.substr(value_start, value_end - value_start))) {
-      return fail(line_no, line, "unparsable sample value");
-    }
-    // Anything after the value must be an integer timestamp.
-    if (value_end < line.size()) {
-      const std::string ts = line.substr(value_end + 1);
-      if (ts.empty() ||
-          ts.find_first_not_of("-0123456789") != std::string::npos) {
-        return fail(line_no, line, "trailing garbage after sample value");
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace topfull::obs

@@ -145,17 +145,16 @@ std::string SnapshotJson(const MetricsSnapshot& snapshot);
 /// `/runs`: run-state JSON (label, progress, SLO events, per-shard stats).
 std::string RunStateJson(const MetricsSnapshot& snapshot);
 
-/// Structural check of Prometheus text-exposition output: every sample line
-/// parses (name, optional balanced label set, numeric value) and belongs to
-/// a family announced by a preceding # TYPE line. Used by tests and the CI
-/// scrape smoke. Returns false and describes the first offending line in
-/// `error` (when non-null).
-bool ValidatePromText(const std::string& text, std::string* error = nullptr);
-
 /// Prometheus label-value escaping (backslash, double-quote, newline).
 std::string PromEscapeLabel(const std::string& s);
 /// Prometheus HELP-text escaping (backslash, newline).
 std::string PromEscapeHelp(const std::string& s);
+/// Deterministic, locale-independent number formatting ("%.10g"), the one
+/// shared by every text and JSON writer. Non-finite values print as C does
+/// ("inf", "nan"); writers that need another spelling wrap this.
+std::string Num(double v);
+/// Decimal rendering of an unsigned count.
+std::string U64(std::uint64_t v);
 /// JSON string escaping (exposed for tests).
 std::string JsonEscape(const std::string& s);
 

@@ -6,17 +6,11 @@
 
 #include "obs/histogram.hpp"
 #include "obs/prom_parser.hpp"
+#include "obs/snapshot.hpp"
 
 namespace topfull::obs {
 
 namespace {
-
-/// Deterministic, locale-independent double formatting (display forms).
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
 
 /// Round-trip-exact formatting for stored sample values: 17 significant
 /// digits reconstruct any finite double bit-exactly, which the

@@ -17,8 +17,7 @@
 namespace topfull::scenario {
 namespace {
 
-std::unique_ptr<sim::Application> MakeApp(const ScenarioSpec& spec,
-                                          std::string* error) {
+std::unique_ptr<sim::Application> MakeApp(const ScenarioSpec& spec) {
   if (spec.app == "boutique") {
     apps::BoutiqueOptions options;
     options.seed = spec.seed;
@@ -36,7 +35,6 @@ std::unique_ptr<sim::Application> MakeApp(const ScenarioSpec& spec,
     options.seed = spec.seed;
     return apps::MakeAlibabaDemo(options).app;
   }
-  *error = "unknown app '" + spec.app + "'";
   return nullptr;
 }
 
@@ -51,57 +49,43 @@ CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
     verdict.error = "unknown controller '" + controller + "'";
     return verdict;
   }
-  auto app = MakeApp(spec, &verdict.error);
-  if (app == nullptr) return verdict;
-
-  if (spec.hop_timeout_s > 0.0) {
-    app->ConfigureRpc(Seconds(spec.hop_timeout_s), spec.hop_retries,
-                      Seconds(spec.hop_retry_backoff_s));
-  }
-
-  // Faults are validated against the app before anything runs, so a bad
-  // profile yields an error cell rather than a half-run scenario.
-  fault::FaultSchedule faults;
-  if (!spec.fault_profile.empty()) {
-    std::string fault_error;
-    const auto parsed =
-        fault::ParseFaultProfile(spec.fault_profile, *app, &fault_error);
-    if (!parsed.has_value()) {
-      verdict.error = "fault profile: " + fault_error;
-      return verdict;
-    }
-    faults = *parsed;
-  }
-
-  exp::Telemetry telemetry(exp::TelemetryOptions::FromEnv());
-  telemetry.Attach(*app);
+  std::optional<exp::RunSpec> run = ScenarioRunSpec(spec, &verdict.error);
+  if (!run.has_value()) return verdict;
 
   std::shared_ptr<rl::GaussianPolicy> policy;
   if (exp::VariantNeedsPolicy(*variant)) policy = exp::GetPretrainedPolicy();
-  exp::Controllers controllers;
-  controllers.Attach(*variant, *app, policy.get(), {},
-                     /*mimd_decrease=*/0.05, /*mimd_increase=*/0.01,
-                     spec.static_rate);
 
   // The SLO monitor drives the invariant checks, so every cell gets one:
   // telemetry's when tracing is on, a private one otherwise. Either way it
   // is a pure window observer — the event stream (and hence the verdict)
-  // is identical with tracing on or off.
+  // is identical with tracing on or off. The cell owns its telemetry and
+  // exports it itself, so the executor's stays off.
+  exp::Telemetry telemetry(exp::TelemetryOptions::FromEnv());
   std::unique_ptr<obs::SloMonitor> own_monitor;
   std::unique_ptr<obs::DecisionLog> own_log;
-  const obs::SloMonitor* monitor = nullptr;
-  if (telemetry.enabled()) {
-    if (controllers.topfull() != nullptr) telemetry.Attach(*controllers.topfull());
-    monitor = telemetry.monitor();
-  } else {
-    own_monitor = obs::SloMonitor::ForApp(*app);
-    if (controllers.topfull() != nullptr) {
+  run->make_app = [&telemetry, &own_monitor, make = std::move(run->make_app)] {
+    auto app = make();
+    telemetry.Attach(*app);
+    if (!telemetry.enabled()) own_monitor = obs::SloMonitor::ForApp(*app);
+    return app;
+  };
+  exp::Controllers controllers;
+  run->attach = [&](sim::Application& app) -> std::shared_ptr<void> {
+    controllers.Attach(*variant, app, policy.get(), {},
+                       /*mimd_decrease=*/0.05, /*mimd_increase=*/0.01,
+                       spec.static_rate);
+    core::TopFullController* topfull = controllers.topfull();
+    if (topfull == nullptr) return nullptr;
+    if (telemetry.enabled()) {
+      telemetry.Attach(*topfull);
+    } else {
       own_log = std::make_unique<obs::DecisionLog>();
-      controllers.topfull()->SetDecisionObserver(own_log.get());
+      topfull->SetDecisionObserver(own_log.get());
       own_monitor->SetDecisionLog(own_log.get());
     }
-    monitor = own_monitor.get();
-  }
+    return nullptr;
+  };
+  run->telemetry = exp::TelemetryOptions{};
 
   // Every cell gets a time-series plane with the standard burn-rate rules
   // plus a goodput-floor alert derived from the scenario's own floor
@@ -118,60 +102,31 @@ CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
       break;
     }
   }
-  tsdb_plane.Attach(*app);
+  run->tsdb = &tsdb_plane;
 
-  // One closed-loop pool per tenant, splitting the scheduled population by
-  // weight. A scenario without tenants runs one anonymous pool over the
-  // full schedule (the legacy uniform-users setup).
-  workload::TrafficDriver traffic(app.get());
-  std::vector<TenantSpec> tenants = spec.tenants;
-  if (tenants.empty()) tenants.push_back(TenantSpec{});
-  double total_weight = 0.0;
-  for (const TenantSpec& tenant : tenants) total_weight += tenant.weight;
-  if (total_weight <= 0.0) total_weight = 1.0;
-  const workload::Schedule users = spec.BuildUserSchedule();
-  for (const TenantSpec& tenant : tenants) {
-    workload::ClosedLoopConfig config = exp::UniformUsers(*app);
-    if (!tenant.api_weights.empty()) config.mix.weights = tenant.api_weights;
-    config.think = Seconds(spec.think_s);
-    config.client_timeout = Seconds(spec.client_timeout_s);
-    config.max_client_retries = spec.client_retries;
-    config.client_retry_backoff = Seconds(spec.client_retry_backoff_s);
-    config.user_priority_lo = tenant.priority_lo;
-    config.user_priority_hi = tenant.priority_hi;
-    config.tenant = tenant.name;
-    traffic.AddClosedLoop(std::move(config),
-                          users.Scaled(tenant.weight / total_weight));
-  }
-
-  fault::FaultInjector injector(app.get(), faults,
-                                fault::FaultInjector::kDefaultSeed);
-  if (!spec.fault_profile.empty()) injector.Arm();
-
-  app->RunFor(Seconds(spec.duration_s));
-  // Rules evaluate once, over the whole run: query evaluation only looks
-  // back, and a scenario is far shorter than the store's retention, so
-  // this yields the transitions per-window evaluation would.
-  tsdb_plane.FinishRules(ToSeconds(app->sim().Now()));
+  exp::RunResult outcome = exp::RunExecutor::RunOne(*run);
+  const sim::Application& app = *outcome.app;
+  const obs::SloMonitor* monitor =
+      telemetry.enabled() ? telemetry.monitor() : own_monitor.get();
 
   // --- Fold the run into artefacts and check --------------------------------
   RunArtifacts artifacts;
-  artifacts.metrics = &app->metrics();
+  artifacts.metrics = &app.metrics();
   artifacts.slo_events = &monitor->events();
   artifacts.alerts = &tsdb_plane.rules().transitions();
   std::uint64_t client_attempts = 0;
   std::uint64_t client_intents = 0;
   std::vector<double> all_rates;
-  for (const auto& pool : traffic.pools()) {
-    artifacts.tenant_outcomes.push_back(pool->Outcomes());
-    for (const workload::UserOutcomes& user : pool->Outcomes()) {
+  for (const auto& users : outcome.pool_outcomes) {
+    for (const workload::UserOutcomes& user : users) {
       client_attempts += user.attempts;
       client_intents += user.intents;
       if (user.ok + user.failed > 0) all_rates.push_back(user.SuccessRate());
     }
   }
+  artifacts.tenant_outcomes = std::move(outcome.pool_outcomes);
   artifacts.amplification = obs::ComputeAmplification(
-      app->HopAttempts(), app->Retries(), client_attempts, client_intents);
+      app.HopAttempts(), app.Retries(), client_attempts, client_intents);
 
   verdict.invariants = CheckInvariants(spec, artifacts);
   verdict.pass = true;
@@ -183,22 +138,16 @@ CellVerdict RunCell(const ScenarioSpec& spec, const std::string& controller,
     verdict.conforms =
         verdict.conforms && (result.ok == !result.expected_violation);
   }
-  verdict.goodput_rps = app->metrics().AvgTotalGoodput();
+  verdict.goodput_rps = app.metrics().AvgTotalGoodput();
   verdict.fairness = obs::SuccessRateFairness(all_rates);
   verdict.amplification = artifacts.amplification;
   verdict.slo_events = monitor->events().size();
 
   if (telemetry.enabled()) {
-    telemetry.Export(*app, telemetry_name, controllers.topfull(),
-                     injector.Log().empty() ? nullptr : &injector.Log());
+    telemetry.Export(app, telemetry_name, controllers.topfull(),
+                     outcome.fault_log.empty() ? nullptr : &outcome.fault_log);
   }
   return verdict;
-}
-
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
 }
 
 std::string Quote(const std::string& s) { return "\"" + obs::JsonEscape(s) + "\""; }
@@ -207,28 +156,87 @@ std::string Bool(bool b) { return b ? "true" : "false"; }
 
 void AppendInvariantJson(std::string* out, const InvariantResult& result) {
   *out += "{\"kind\":" + std::string(Quote(InvariantKindName(result.invariant.kind)));
-  *out += ",\"value\":" + Num(result.invariant.value);
-  *out += ",\"from_s\":" + Num(result.invariant.from_s);
+  *out += ",\"value\":" + obs::Num(result.invariant.value);
+  *out += ",\"from_s\":" + obs::Num(result.invariant.from_s);
   if (!result.invariant.param.empty()) {
     *out += ",\"param\":" + Quote(result.invariant.param);
   }
   *out += ",\"ok\":" + std::string(Bool(result.ok));
   *out += ",\"expected_violation\":" + std::string(Bool(result.expected_violation));
   *out += ",\"conforms\":" + std::string(Bool(result.ok == !result.expected_violation));
-  *out += ",\"measured\":" + Num(result.measured);
+  *out += ",\"measured\":" + obs::Num(result.measured);
   *out += ",\"detail\":" + Quote(result.detail);
   if (result.witness.has_value()) {
     const obs::SloEvent& ev = *result.witness;
-    *out += ",\"witness\":{\"t_s\":" + Num(ev.t_s);
+    *out += ",\"witness\":{\"t_s\":" + obs::Num(ev.t_s);
     *out += ",\"type\":" + Quote(obs::SloEventTypeName(ev.type));
     *out += ",\"subject\":" + Quote(ev.subject);
-    *out += ",\"value\":" + Num(ev.value);
-    *out += ",\"threshold\":" + Num(ev.threshold) + "}";
+    *out += ",\"value\":" + obs::Num(ev.value);
+    *out += ",\"threshold\":" + obs::Num(ev.threshold) + "}";
   }
   *out += "}";
 }
 
 }  // namespace
+
+std::optional<exp::RunSpec> ScenarioRunSpec(const ScenarioSpec& spec,
+                                            std::string* error) {
+  exp::RunSpec run;
+  run.label = spec.name;
+  run.duration_s = spec.duration_s;
+  {
+    // Faults are validated against a throwaway app before anything runs, so
+    // a bad profile yields an error rather than a half-run scenario.
+    const auto probe = MakeApp(spec);
+    if (probe == nullptr) {
+      *error = "unknown app '" + spec.app + "'";
+      return std::nullopt;
+    }
+    if (!spec.fault_profile.empty()) {
+      std::string fault_error;
+      const auto parsed =
+          fault::ParseFaultProfile(spec.fault_profile, *probe, &fault_error);
+      if (!parsed.has_value()) {
+        *error = "fault profile: " + fault_error;
+        return std::nullopt;
+      }
+      run.faults = *parsed;
+    }
+  }
+  run.make_app = [spec] {
+    auto app = MakeApp(spec);
+    if (spec.hop_timeout_s > 0.0) {
+      app->ConfigureRpc(Seconds(spec.hop_timeout_s), spec.hop_retries,
+                        Seconds(spec.hop_retry_backoff_s));
+    }
+    return app;
+  };
+  // One closed-loop pool per tenant, splitting the scheduled population by
+  // weight. A scenario without tenants runs one anonymous pool over the
+  // full schedule (the legacy uniform-users setup).
+  run.traffic = [spec](workload::TrafficDriver& traffic, sim::Application& app) {
+    std::vector<TenantSpec> tenants = spec.tenants;
+    if (tenants.empty()) tenants.push_back(TenantSpec{});
+    double total_weight = 0.0;
+    for (const TenantSpec& tenant : tenants) total_weight += tenant.weight;
+    if (total_weight <= 0.0) total_weight = 1.0;
+    const workload::Schedule users = spec.BuildUserSchedule();
+    for (const TenantSpec& tenant : tenants) {
+      workload::ClosedLoopConfig config = exp::UniformUsers(app);
+      if (!tenant.api_weights.empty()) config.mix.weights = tenant.api_weights;
+      config.think = Seconds(spec.think_s);
+      config.client_timeout = Seconds(spec.client_timeout_s);
+      config.max_client_retries = spec.client_retries;
+      config.client_retry_backoff = Seconds(spec.client_retry_backoff_s);
+      config.user_priority_lo = tenant.priority_lo;
+      config.user_priority_hi = tenant.priority_hi;
+      config.tenant = tenant.name;
+      traffic.AddClosedLoop(std::move(config),
+                            users.Scaled(tenant.weight / total_weight));
+    }
+  };
+  return run;
+}
 
 CellVerdict RunScenarioCell(const ScenarioSpec& spec,
                             const std::string& controller) {
@@ -264,21 +272,21 @@ std::string MatrixReportJson(const std::vector<CellVerdict>& verdicts) {
     out += ",\"pass\":" + std::string(Bool(cell.pass));
     out += ",\"conforms\":" + std::string(Bool(cell.conforms));
     if (!cell.error.empty()) out += ",\"error\":" + Quote(cell.error);
-    out += ",\"goodput_rps\":" + Num(cell.goodput_rps);
+    out += ",\"goodput_rps\":" + obs::Num(cell.goodput_rps);
     out += ",\"slo_events\":" + std::to_string(cell.slo_events);
-    out += ",\"amplification\":{\"hop\":" + Num(cell.amplification.hop_amplification);
-    out += ",\"client\":" + Num(cell.amplification.client_amplification);
-    out += ",\"total\":" + Num(cell.amplification.total);
+    out += ",\"amplification\":{\"hop\":" + obs::Num(cell.amplification.hop_amplification);
+    out += ",\"client\":" + obs::Num(cell.amplification.client_amplification);
+    out += ",\"total\":" + obs::Num(cell.amplification.total);
     out += ",\"hop_attempts\":" + std::to_string(cell.amplification.hop_attempts);
     out += ",\"server_retries\":" + std::to_string(cell.amplification.server_retries);
     out += ",\"client_attempts\":" + std::to_string(cell.amplification.client_attempts);
     out += ",\"client_intents\":" + std::to_string(cell.amplification.client_intents) + "}";
     out += ",\"fairness\":{\"users\":" + std::to_string(cell.fairness.users);
-    out += ",\"jain\":" + Num(cell.fairness.jain);
-    out += ",\"mean\":" + Num(cell.fairness.mean);
-    out += ",\"variance\":" + Num(cell.fairness.variance);
-    out += ",\"min\":" + Num(cell.fairness.min);
-    out += ",\"max\":" + Num(cell.fairness.max) + "}";
+    out += ",\"jain\":" + obs::Num(cell.fairness.jain);
+    out += ",\"mean\":" + obs::Num(cell.fairness.mean);
+    out += ",\"variance\":" + obs::Num(cell.fairness.variance);
+    out += ",\"min\":" + obs::Num(cell.fairness.min);
+    out += ",\"max\":" + obs::Num(cell.fairness.max) + "}";
     out += ",\"invariants\":[";
     for (std::size_t j = 0; j < cell.invariants.size(); ++j) {
       if (j != 0) out += ",";

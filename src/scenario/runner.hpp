@@ -10,10 +10,12 @@
 // with tracing on or off.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "exp/run_executor.hpp"
 #include "obs/fairness.hpp"
 #include "scenario/invariant.hpp"
 #include "scenario/scenario.hpp"
@@ -48,6 +50,14 @@ struct MatrixOptions {
   /// Worker pool (nullptr = ThreadPool::Global()).
   ThreadPool* pool = nullptr;
 };
+
+/// The scenario's run as an executor spec, without controller or checks:
+/// `make_app` builds the seeded app with the scenario's RPC policy,
+/// `traffic` adds one closed-loop pool per tenant, and `faults` holds the
+/// parsed fault profile. Returns nullopt with `error` set for an unknown
+/// app or a fault profile the app rejects.
+std::optional<exp::RunSpec> ScenarioRunSpec(const ScenarioSpec& spec,
+                                            std::string* error);
 
 /// Runs one cell on the calling thread.
 CellVerdict RunScenarioCell(const ScenarioSpec& spec,

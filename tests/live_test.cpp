@@ -25,6 +25,7 @@
 #include "obs/http_server.hpp"
 #include "obs/json.hpp"
 #include "obs/live.hpp"
+#include "obs/prom_parser.hpp"
 #include "obs/profile.hpp"
 #include "obs/rules.hpp"
 #include "obs/snapshot.hpp"
@@ -248,8 +249,9 @@ TEST(SnapshotTest, RegistryAndSnapshotRenderingsAgree) {
   const std::string via_snapshot =
       obs::PromTextFromSnapshot(*builder.Finish());
   EXPECT_EQ(direct, via_snapshot);
+  obs::PromScrape scrape;
   std::string error;
-  EXPECT_TRUE(obs::ValidatePromText(direct, &error)) << error;
+  EXPECT_TRUE(obs::ParsePromText(direct, &scrape, &error)) << error;
   EXPECT_NE(direct.find("live_latency_ms_bucket"), std::string::npos);
 }
 
@@ -285,18 +287,30 @@ TEST(SnapshotTest, JsonRenderersProduceParsableJson) {
             std::string::npos);
 }
 
-TEST(SnapshotTest, ValidatePromTextRejectsMalformedExpositions) {
+TEST(SnapshotTest, ParsePromTextRejectsMalformedExpositions) {
+  const auto rejects = [](const std::string& text) {
+    obs::PromScrape scrape;
+    std::string error;
+    EXPECT_FALSE(obs::ParsePromText(text, &scrape, &error)) << text;
+    return error;
+  };
+  EXPECT_NE(rejects("x_total 1\n").find(
+                "line 1: sample before # TYPE for 'x_total'"),
+            std::string::npos);
+  EXPECT_NE(rejects("# TYPE x_total counter\nx_total{api=\"a\" 1\n")
+                .find("line 2: expected ',' or '}' after label value"),
+            std::string::npos);
+  EXPECT_NE(rejects("# TYPE x_total counter\nx_total one\n")
+                .find("line 2: bad sample value 'one'"),
+            std::string::npos);
+  EXPECT_NE(rejects("# TYPE x_total banana\n")
+                .find("line 1: unknown metric type 'banana'"),
+            std::string::npos);
+  obs::PromScrape scrape;
   std::string error;
-  EXPECT_FALSE(obs::ValidatePromText("x_total 1\n", &error));  // no # TYPE
-  EXPECT_NE(error.find("without preceding # TYPE"), std::string::npos);
-  EXPECT_FALSE(obs::ValidatePromText(
-      "# TYPE x_total counter\nx_total{api=\"a\" 1\n", nullptr));
-  EXPECT_FALSE(obs::ValidatePromText(
-      "# TYPE x_total counter\nx_total one\n", nullptr));
-  EXPECT_FALSE(obs::ValidatePromText("# TYPE x_total banana\n", nullptr));
-  EXPECT_TRUE(obs::ValidatePromText(
+  EXPECT_TRUE(obs::ParsePromText(
       "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 3\nh_count 2\n",
-      &error))
+      &scrape, &error))
       << error;
 }
 
@@ -414,8 +428,9 @@ TEST(LivePlaneTest, FinalSnapshotEqualsTheOfflinePrometheusDump) {
   ASSERT_FALSE(offline.empty());
   EXPECT_EQ(obs::PromTextFromSnapshot(*snapshot), offline)
       << "live /metrics at end of run must equal the offline dump";
+  obs::PromScrape scrape;
   std::string error;
-  EXPECT_TRUE(obs::ValidatePromText(offline, &error)) << error;
+  EXPECT_TRUE(obs::ParsePromText(offline, &scrape, &error)) << error;
 }
 
 TEST(LivePlaneTest, PublishingIsAPureObserver) {
@@ -466,7 +481,8 @@ TEST(LivePlaneTest, ConcurrentScrapesDuringARunningSimulation) {
         }
         const std::string body = reply.substr(reply.find("\r\n\r\n") + 4);
         if (target == std::string("/metrics")) {
-          if (!obs::ValidatePromText(body)) ++bad;
+          obs::PromScrape scrape;
+          if (!obs::ParsePromText(body, &scrape)) ++bad;
         } else {
           obs::JsonValue doc;
           std::string parse_error;
@@ -535,9 +551,10 @@ TEST(LivePlaneTest, ShardedRunExposesSchedulerMetricsPerShard) {
   EXPECT_NE(runs.find("\"rounds\":"), std::string::npos);
   EXPECT_NE(runs.find("\"mailbox_depth_hwm\":"), std::string::npos);
 
+  obs::PromScrape scrape;
   std::string prom_error;
-  EXPECT_TRUE(obs::ValidatePromText(obs::PromTextFromSnapshot(*snapshot),
-                                    &prom_error))
+  EXPECT_TRUE(obs::ParsePromText(obs::PromTextFromSnapshot(*snapshot), &scrape,
+                                 &prom_error))
       << prom_error;
   (void)result;
 }

@@ -133,6 +133,7 @@ TEST(PromParserTest, MalformedCorpusIsRejectedWithLineNumbers) {
       {"blank_line.prom", "line 2: blank line"},
       {"bad_escape.prom", "line 2: unknown escape"},
       {"bad_timestamp.prom", "line 2: bad timestamp '12a3'"},
+      {"signed_timestamp.prom", "line 2: bad timestamp '+5'"},
       {"bare_histogram_sample.prom",
        "line 2: histogram samples need a _bucket/_sum/_count suffix"},
       {"unknown_type.prom", "line 1: unknown metric type 'watermelon'"},

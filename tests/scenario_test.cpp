@@ -11,10 +11,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "apps/online_boutique.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/harness.hpp"
@@ -674,23 +674,10 @@ TEST(ScenarioMatrixTest, MetastableTrapsStaticWhileTopFullEscapes) {
 TEST(ScenarioShardedTest, FourShardsSelfConsistent) {
   const ScenarioSpec scenario = MiniStorm();
 
-  exp::RunSpec spec;
-  spec.label = "scenario_shard";
-  spec.duration_s = scenario.duration_s;
-  spec.make_app = [scenario]() {
-    apps::BoutiqueOptions options;
-    options.seed = scenario.seed;
-    return apps::MakeOnlineBoutique(options);
-  };
-  spec.traffic = [scenario](workload::TrafficDriver& driver,
-                            sim::Application& app) {
-    workload::ClosedLoopConfig config = exp::UniformUsers(app);
-    config.think = Seconds(scenario.think_s);
-    config.client_timeout = Seconds(scenario.client_timeout_s);
-    config.max_client_retries = scenario.client_retries;
-    config.client_retry_backoff = Seconds(scenario.client_retry_backoff_s);
-    driver.AddClosedLoop(std::move(config), scenario.BuildUserSchedule());
-  };
+  std::string error;
+  std::optional<exp::RunSpec> mapped = ScenarioRunSpec(scenario, &error);
+  ASSERT_TRUE(mapped.has_value()) << error;
+  exp::RunSpec spec = std::move(*mapped);
   spec.variant = *exp::VariantFromName("breakwater");
   spec.static_rate = scenario.static_rate;
 

@@ -206,22 +206,65 @@ TEST(SloTest, BoundRegistryMirrorsEventCounts) {
   EXPECT_EQ(monitor.CountOf(obs::SloEventType::kOverloadOnset), 1u);
 }
 
+// A small overloaded app: one ~400 rps service offered 800 rps.
+std::unique_ptr<sim::Application> OverloadedApp() {
+  auto app = std::make_unique<sim::Application>("slo-app", 11);
+  sim::ServiceConfig svc;
+  svc.name = "B";
+  svc.mean_service_ms = 10.0;
+  svc.service_sigma = 0.25;
+  svc.threads = 4;
+  svc.initial_pods = 1;
+  const sim::ServiceId b = app->AddService(svc);
+  sim::ApiSpec api0("api0", 1);
+  api0.AddPath(sim::ExecutionPath{sim::Chain({b}), 1.0, {}});
+  app->AddApi(std::move(api0));
+  app->Finalize();
+  return app;
+}
+
+struct CountingObserver : sim::WindowObserver {
+  int windows = 0;
+  void OnWindow(const sim::Snapshot&) override { ++windows; }
+};
+
+TEST(SloTest, ForAppChainsToTheObserverInstalledBefore) {
+  auto app = OverloadedApp();
+  CountingObserver counter;
+  app->metrics().SetWindowObserver(&counter);
+  auto monitor = obs::SloMonitor::ForApp(*app);
+  workload::TrafficDriver traffic(app.get());
+  traffic.AddOpenLoop(0, workload::Schedule::Constant(800));
+  app->RunFor(Seconds(10));
+  ASSERT_GE(app->metrics().Timeline().size(), 9u);
+  EXPECT_EQ(counter.windows,
+            static_cast<int>(app->metrics().Timeline().size()))
+      << "ForApp cut off the earlier observer";
+  EXPECT_FALSE(monitor->events().empty()) << "the monitor saw no window";
+}
+
+TEST(SloTest, SecondMonitorOnOneAppDoesNotDoubleTheEventCounter) {
+  auto app = OverloadedApp();
+  auto first = obs::SloMonitor::ForApp(*app);
+  auto second = obs::SloMonitor::ForApp(*app);
+  workload::TrafficDriver traffic(app.get());
+  traffic.AddOpenLoop(0, workload::Schedule::Constant(800));
+  app->RunFor(Seconds(10));
+  ASSERT_FALSE(first->events().empty());
+  EXPECT_EQ(first->events().size(), second->events().size());
+  std::uint64_t counted = 0;
+  for (const auto& [key, cell] :
+       app->metrics_registry().families().at("topfull_slo_events_total").cells) {
+    counted += cell->counter.value();
+  }
+  EXPECT_EQ(counted, first->events().size());
+}
+
 // --- Determinism: tracing on/off must not move any event ---------------------
 
 TEST(SloTest, EventStreamIsIdenticalWithTracingOnAndOff) {
   const auto run = [](bool traced) {
-    auto app = std::make_unique<sim::Application>("slo-app", 11);
-    sim::ServiceConfig svc;
-    svc.name = "B";
-    svc.mean_service_ms = 10.0;
-    svc.service_sigma = 0.25;
-    svc.threads = 4;
-    svc.initial_pods = 1;
-    const sim::ServiceId b = app->AddService(svc);
-    sim::ApiSpec api0("api0", 1);
-    api0.AddPath(sim::ExecutionPath{sim::Chain({b}), 1.0, {}});
-    app->AddApi(std::move(api0));
-    app->Finalize();
+    auto app = OverloadedApp();
     obs::RequestTracer tracer;
     if (traced) app->SetObserver(&tracer);
     auto monitor = obs::SloMonitor::ForApp(*app);

@@ -431,9 +431,7 @@ int CmdRun(const Args& args) {
   {
     const auto probe = MakeApp(args);
     if (!probe) return Usage();
-    // Single-shard runs are named after the application, sharded ones
-    // after --app.
-    spec.label = shards > 1 ? args.Get("app", "boutique") : probe->name();
+    spec.label = probe->name();
     if (args.Has("fault-profile")) {
       std::string error;
       const auto parsed =
@@ -458,7 +456,7 @@ int CmdRun(const Args& args) {
   }
   spec.variant = *variant;
   spec.static_rate = args.Num("static-rate", 0.0);
-  spec.hpa = args.Has("hpa");
+  if (args.Has("hpa")) spec.hpa = autoscale::ClusterConfig{};
   spec.make_app = [args] {
     auto app = MakeApp(args);
     if (args.Has("hop-timeout") || args.Has("retries") ||
