@@ -11,17 +11,19 @@
 //   mixed          refill ~0.5 token/µs against multi-thread offered load:
 //                  admits and rejects interleave
 //   reconfig_storm admit_heavy while a control thread republishes the slot's
-//                  (rate, burst) as fast as it can — every publish builds
-//                  and release-publishes a fresh RCU snapshot
+//                  (rate, burst) as fast as it can — every Configure resets
+//                  the shared bucket in place (a CAS-loop store on the cell
+//                  the admitters CAS); none builds a snapshot or moves the
+//                  version the gates poll
 //
 // plus a single-threaded `token_bucket_ref` row (the historical sim-internal
 // TokenBucket, the 4.9 ns/admit reference) through the same harness.
 //
 // Reported per row: ns/op, ops/sec (total and per thread), p99 admit latency
 // (sampled every 128th op with steady_clock), admit-path heap allocations
-// per op (thread-local operator-new hook, so a reconfiguring control
-// thread's snapshot builds are *not* charged to the admit path — those are
-// the point of the RCU design), CAS-retry-bound rejects, and publishes.
+// per op (thread-local operator-new hook, charged to the admit threads
+// only), CAS-retry-bound rejects, and publishes (the storm's Configure
+// calls).
 //
 // Threads beyond the machine's cores oversubscribe; per-thread throughput
 // and the p99 then include scheduler preemption. CI gates each row against
@@ -44,7 +46,7 @@
 #include "admit/admitter.hpp"
 #include "admit/atomic_token_bucket.hpp"
 #include "admit/plane.hpp"
-#include "common/token_bucket.hpp"
+#include "support/token_bucket.hpp"
 
 using namespace topfull;
 
@@ -354,7 +356,8 @@ int main(int argc, char** argv) {
     }
     // reconfig_storm: admit_heavy while the control thread republishes the
     // slot's limits as fast as it can (alternating values defeat the
-    // coalescing, so every iteration builds + publishes a new snapshot).
+    // coalescing, so every iteration is an applied rate change, made in
+    // place on the bucket the workers admit through).
     {
       admit::AdmissionPlane plane;
       const int slot = plane.Register(

@@ -11,13 +11,13 @@
 
 #include "admit/plane.hpp"
 #include "apps/train_ticket.hpp"
-#include "common/token_bucket.hpp"
 #include "core/clustering.hpp"
 #include "core/registry.hpp"
 #include "exp/model_cache.hpp"
 #include "obs/metrics_registry.hpp"
 #include "rl/observation.hpp"
 #include "sim/metrics.hpp"
+#include "support/token_bucket.hpp"
 #include "trace/synthetic_trace.hpp"
 
 using namespace topfull;

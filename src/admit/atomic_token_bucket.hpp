@@ -24,10 +24,22 @@
 // target line right after a lock-prefixed op stalls (~2x admit cost measured
 // on this repo's reference machine); the mirror keeps the CAS "expected"
 // hint warm on its own line.
+//
+// Cache-line layout, by write pattern (one 64-byte line each):
+//  * the Packed128 CAS cell — written by every admit; the only line whose
+//    plain loads TryAdmit avoids (it reaches it only via the locked op);
+//  * the config {rate, burst, sat_elapsed, contention_rejects} — written
+//    only by the control path (and by a CAS-bound reject), so every admit
+//    reads it from a shared copy in its own core's cache;
+//  * the CAS-hint mirror — rewritten after every successful CAS and loaded
+//    at the start of every admit.
+// Were the config on the CAS cell's line, each admit on another core would
+// re-fetch it along with the contended cell.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -41,7 +53,13 @@ class AtomicTokenBucket {
   /// Same contract as TokenBucket: `rate` in requests/second (clamped >= 0),
   /// `burst` is the bucket depth in tokens (clamped >= 1); starts full with
   /// last-refill at t=0.
-  AtomicTokenBucket(double rate, double burst) { Configure(rate, burst); }
+  AtomicTokenBucket(double rate, double burst) {
+    static_assert(offsetof(AtomicTokenBucket, state_) == 0 &&
+                      offsetof(AtomicTokenBucket, rate_) == kLine &&
+                      offsetof(AtomicTokenBucket, mirror_tokens_) == 2 * kLine,
+                  "the CAS cell, the config and the mirror each start a line");
+    Configure(rate, burst);
+  }
 
   /// Movable so vectors of per-pod controls can grow. Moving is NOT
   /// thread-safe — it is for single-threaded container setup only.
@@ -211,19 +229,23 @@ class AtomicTokenBucket {
         std::memory_order_relaxed);
   }
 
+  static constexpr std::size_t kLine = 64;
+
+  // The three lines of the header comment's layout; the object itself is
+  // 64-byte aligned, so each offset below starts a cache line.
   // mutable: cmpxchg16b rewrites the target bytes even when used as a pure
   // load (it stores the old value back), so const readers still "write".
-  mutable Packed128 state_{};
-  std::atomic<double> rate_{0.0};
+  alignas(kLine) mutable Packed128 state_{};
+  alignas(kLine) std::atomic<double> rate_{0.0};
   std::atomic<double> burst_{1.0};
   /// See SaturatingElapsed(); kept consistent with rate_ by the (serialized)
   /// control path.
   std::atomic<std::int64_t> sat_elapsed_{
       std::numeric_limits<std::int64_t>::max()};
   std::atomic<std::uint64_t> contention_rejects_{0};
-  // CAS-expected hint, deliberately on its own cache line so the hot admit
-  // loop never issues plain loads against the lock-contended `state_` line.
-  alignas(64) std::atomic<double> mirror_tokens_{0.0};
+  // CAS-expected hint on its own line: the admit loop seeds its CAS from
+  // here instead of a plain load of the locked `state_` line.
+  alignas(kLine) std::atomic<double> mirror_tokens_{0.0};
   std::atomic<std::int64_t> mirror_last_{0};
 };
 

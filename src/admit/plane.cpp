@@ -67,7 +67,9 @@ ConfigureResult AdmissionPlane::Configure(int slot, double rate, double burst) {
   // Always applied in place: disciplines that reset internal state on
   // reconfiguration (the token bucket refills to its burst) must do so even
   // for a same-value publish, or the sim's decision stream would diverge
-  // from the historical per-SetRate bucket reset (DESIGN.md §15).
+  // from the historical per-SetRate bucket reset (DESIGN.md §15). The live
+  // snapshot already points at this admitter, so no reader has to re-route
+  // and nothing is published.
   entry.admitter->Configure(rate, burst);
   if (entry.configured && entry.rate == rate && entry.burst == burst) {
     reconfigs_coalesced_.fetch_add(1, std::memory_order_relaxed);
@@ -77,7 +79,6 @@ ConfigureResult AdmissionPlane::Configure(int slot, double rate, double burst) {
   entry.rate = rate;
   entry.burst = burst;
   reconfigs_applied_.fetch_add(1, std::memory_order_relaxed);
-  PublishLocked();
   return ConfigureResult::kApplied;
 }
 

@@ -4,10 +4,11 @@
 // Read path: one atomic snapshot load maps (service, method) → admitter
 // slot; admits never take a lock and never observe a torn reconfiguration.
 // Control path: a single control thread (serialized by a mutex) registers /
-// removes slots and republishes rates; topology changes build a fresh
-// immutable State and release-publish it, while pure rate changes are
-// applied in place on the (stable, shared_ptr-held) admitter objects so the
-// read path picks them up without a snapshot rebuild.
+// removes slots and republishes rates. Only topology changes (Register,
+// Remove) build a fresh immutable State and release-publish it; a rate
+// change is applied in place on the (stable, shared_ptr-held) admitter the
+// live snapshot already points at, so it costs O(1), bumps no version and
+// the read path picks it up on its next admit without re-reading anything.
 //
 // Snapshots are published through an RcuCell (common/rcu_cell.hpp), the
 // same TSan-clean single-publisher/multi-reader exchange the live telemetry
@@ -29,8 +30,8 @@ namespace topfull::admit {
 
 /// Outcome of a control-path Configure.
 enum class ConfigureResult {
-  kApplied,      ///< limit actually changed; new snapshot published
-  kCoalesced,    ///< same (rate, burst) as already configured; publish skipped
+  kApplied,      ///< limit actually changed (applied in place)
+  kCoalesced,    ///< same (rate, burst) as already configured
   kInvalidSlot,  ///< unknown or removed slot
 };
 
@@ -64,11 +65,11 @@ class AdmissionPlane {
   /// alive for as long as any reader still holds a pinned snapshot.
   void Remove(int slot);
 
-  /// Applies (rate, burst) to a slot's admitter. The admitter is always
-  /// reconfigured in place — a discipline like the token bucket resets its
-  /// balance on every call, exactly like the sim's historical SetRate path —
-  /// but the snapshot republish (and version bump) is coalesced away when
-  /// (rate, burst) match what is already configured.
+  /// Applies (rate, burst) to a slot's admitter, in place — a discipline
+  /// like the token bucket resets its balance on every call, exactly like
+  /// the sim's historical SetRate path. Never publishes a snapshot or bumps
+  /// the version; allocation-free. The result only tells a changed limit
+  /// from a repeat of the configured (rate, burst).
   ConfigureResult Configure(int slot, double rate, double burst);
 
   // --- Read path (lock-free) ------------------------------------------------
@@ -76,8 +77,9 @@ class AdmissionPlane {
   /// it (safe across concurrent Remove).
   std::shared_ptr<const State> Snapshot() const { return cell_.Read(); }
 
-  /// Snapshot version counter; bumps on every publish. Cheap enough to poll
-  /// per-admit (one acquire load).
+  /// Snapshot version counter; bumps on every publish (Register/Remove).
+  /// Cheap enough to poll per-admit: one acquire load of a line no control
+  /// call but a publish writes.
   std::uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
@@ -110,14 +112,17 @@ class AdmissionPlane {
   std::uint64_t next_version_ = 0;
 
   RcuCell<State> cell_;
-  std::atomic<std::uint64_t> version_{0};
-  std::atomic<std::uint64_t> reconfigs_applied_{0};
+  // Own line: CachedGate polls it on every admit, and Configure's counter
+  // increments below would otherwise invalidate it in every reader's cache.
+  alignas(64) std::atomic<std::uint64_t> version_{0};
+  alignas(64) std::atomic<std::uint64_t> reconfigs_applied_{0};
   std::atomic<std::uint64_t> reconfigs_coalesced_{0};
   std::atomic<std::uint64_t> snapshots_published_{0};
 };
 
 /// Per-caller read handle that only re-reads the plane snapshot when the
-/// version moved — the steady-state admit is one relaxed version load plus
+/// version moved (a slot was registered or removed; rate changes never move
+/// it) — the steady-state admit is one acquire version load plus
 /// the admitter's own decision, with zero shared_ptr ref-count traffic and
 /// zero allocation.
 class CachedGate {

@@ -24,8 +24,9 @@ TopFullController::TopFullController(sim::Application* app,
                          "Control decisions taken (Algorithm 1 + recovery).");
   reconfigs_skipped_counter_ = metrics.GetCounter(
       "topfull_admit_reconfigs_skipped_total",
-      "Admission-plane limit publishes coalesced away (same rate and burst "
-      "as already configured, so no new RCU snapshot was built).");
+      "Admission-plane limit changes that repeated the configured rate and "
+      "burst (the bucket still resets in place; no rate change builds an RCU "
+      "snapshot).");
   overloaded_gauge_ = metrics.GetGauge(
       "topfull_controller_overloaded_services",
       "Overloaded microservices detected at the last tick (after hysteresis).");
@@ -116,9 +117,9 @@ void TopFullController::SetRate(sim::ApiId api, double rate) {
   }
   limit_gauges_[api]->Set(control.rate);
   // Keep a shallow burst so 1 s averages track the limit closely. Configure
-  // resets the slot's bucket exactly like the historical fresh-TokenBucket
-  // assignment; a same-value republish still resets but skips the RCU
-  // snapshot rebuild (coalesced, counted below).
+  // resets the slot's bucket in place exactly like the historical
+  // fresh-TokenBucket assignment, with no snapshot rebuild; a same-value
+  // republish (coalesced) is counted below.
   const double burst =
       std::max(config_.min_burst, control.rate * config_.burst_fraction);
   if (plane_.Configure(control.slot, control.rate, burst) ==

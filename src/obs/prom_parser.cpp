@@ -38,8 +38,38 @@ std::string_view TakeName(std::string_view line, std::size_t& pos,
   return line.substr(start, pos - start);
 }
 
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Consumes a run of decimal digits at `pos`; true when there was one.
+bool TakeDigits(std::string_view text, std::size_t& pos) {
+  const std::size_t start = pos;
+  while (pos < text.size() && IsDigit(text[pos])) ++pos;
+  return pos > start;
+}
+
+/// True when `text` is a plain decimal number: an optional sign, digits
+/// with an optional fraction (at least one digit in all), and an optional
+/// exponent. strtod alone would also take hex floats, `inf`/`nan` in any
+/// case and leading whitespace, none of which the exposition format allows.
+bool IsDecimalNumber(std::string_view text) {
+  std::size_t pos = 0;
+  if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
+  bool digits = TakeDigits(text, pos);
+  if (pos < text.size() && text[pos] == '.') {
+    ++pos;
+    digits = TakeDigits(text, pos) || digits;
+  }
+  if (!digits) return false;
+  if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+    ++pos;
+    if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
+    if (!TakeDigits(text, pos)) return false;
+  }
+  return pos == text.size();
+}
+
 /// Parses a sample value token: the three spelled non-finite forms the
-/// plane emits, or a fully-consumed strtod number.
+/// plane emits, or a decimal number that strtod converts in range.
 bool ParseValue(const std::string& token, double* value) {
   if (token == "NaN") {
     *value = std::numeric_limits<double>::quiet_NaN();
@@ -53,7 +83,7 @@ bool ParseValue(const std::string& token, double* value) {
     *value = -std::numeric_limits<double>::infinity();
     return true;
   }
-  if (token.empty()) return false;
+  if (!IsDecimalNumber(token)) return false;
   errno = 0;
   char* end = nullptr;
   *value = std::strtod(token.c_str(), &end);

@@ -7,12 +7,15 @@
 //  * multi-thread safety properties: token conservation (admitted <=
 //    rate·T + burst) under N hammering threads, with and without a
 //    concurrent reconfiguration storm (runs under TSan in CI);
-//  * AdmissionPlane semantics: slot registry, fail-open behaviour, publish
-//    coalescing, CachedGate refresh, snapshot lifetime across Remove
-//    (use-after-free is what the ASan job checks here);
-//  * hot-path hygiene: the steady-state admit allocates nothing.
+//  * AdmissionPlane semantics: slot registry, fail-open behaviour, rate
+//    changes applied in place without a publish, CachedGate refresh on
+//    topology changes, snapshot lifetime across Remove (use-after-free is
+//    what the ASan job checks here);
+//  * hot-path hygiene: the steady-state admit and a rate change allocate
+//    nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -26,7 +29,7 @@
 #include "admit/packed_atomic.hpp"
 #include "admit/plane.hpp"
 #include "common/rng.hpp"
-#include "common/token_bucket.hpp"
+#include "support/token_bucket.hpp"
 
 // --- counting allocator hook (for the zero-allocation fast-path check) -------
 
@@ -385,16 +388,60 @@ TEST(AdmissionPlaneTest, CachedGateTracksRepublishes) {
   // First Configure after Register is always an applied change (the plane
   // has no shadow values yet); the identical republish coalesces.
   ASSERT_EQ(plane.Configure(slot, 0.0, 2.0), ConfigureResult::kApplied);
-  EXPECT_TRUE(gate.TryAdmit(slot, req));  // reset applied, gate refreshed
+  EXPECT_TRUE(gate.TryAdmit(slot, req));  // reset applied in place
   EXPECT_TRUE(gate.TryAdmit(slot, req));
   EXPECT_FALSE(gate.TryAdmit(slot, req));  // drained again
   ASSERT_EQ(plane.Configure(slot, 0.0, 2.0), ConfigureResult::kCoalesced);
-  EXPECT_TRUE(gate.TryAdmit(slot, req));  // in-place reset, no republish
+  EXPECT_TRUE(gate.TryAdmit(slot, req));  // in-place reset again
   plane.Remove(slot);
   EXPECT_TRUE(gate.TryAdmit(slot, req));  // gate refreshed: fails open
   // A default-constructed gate (no plane) always fails open.
   CachedGate detached;
   EXPECT_TRUE(detached.TryAdmit(0, req));
+}
+
+// A rate change is applied in place on the admitter the live snapshot
+// already points at: no snapshot, no version bump, whether the limit
+// changed or repeated. Only Register/Remove re-route readers.
+TEST(AdmissionPlaneTest, ConfigureNeverPublishes) {
+  AdmissionPlane plane;
+  const int slot = plane.Register(
+      "svc", "m", std::make_shared<TokenBucketAdmitter>(100.0, 10.0));
+  const std::uint64_t version = plane.version();
+  const std::uint64_t published = plane.Stats().snapshots_published;
+  const auto snapshot = plane.Snapshot();
+  ASSERT_EQ(plane.Configure(slot, 50.0, 5.0), ConfigureResult::kApplied);
+  ASSERT_EQ(plane.Configure(slot, 50.0, 5.0), ConfigureResult::kCoalesced);
+  ASSERT_EQ(plane.Configure(slot, 75.0, 5.0), ConfigureResult::kApplied);
+  EXPECT_EQ(plane.version(), version);
+  EXPECT_EQ(plane.Stats().snapshots_published, published);
+  EXPECT_EQ(plane.Snapshot(), snapshot);
+  EXPECT_EQ(snapshot->slots[static_cast<std::size_t>(slot)]->rate(), 75.0);
+
+  // Topology changes still publish and bump the version.
+  const int other = plane.Register(
+      "svc", "other", std::make_shared<TokenBucketAdmitter>(1.0, 1.0));
+  EXPECT_GT(plane.version(), version);
+  EXPECT_EQ(plane.Stats().snapshots_published, published + 1);
+  const std::uint64_t registered = plane.version();
+  plane.Remove(other);
+  EXPECT_GT(plane.version(), registered);
+  EXPECT_EQ(plane.Stats().snapshots_published, published + 2);
+}
+
+TEST(AdmissionPlaneTest, GateOpenedBeforeConfigureSeesTheNewLimit) {
+  AdmissionPlane plane;
+  const int slot = plane.Register(
+      "svc", "m", std::make_shared<TokenBucketAdmitter>(1e6, 1e5));
+  CachedGate gate(&plane);
+  AdmitRequest req;
+  ASSERT_TRUE(gate.TryAdmit(slot, req));  // the gate caches the snapshot
+  const AdmissionPlane::State* cached = gate.state().get();
+  // Zero rate, three tokens: the very next calls see exactly three admits.
+  ASSERT_EQ(plane.Configure(slot, 0.0, 3.0), ConfigureResult::kApplied);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(gate.TryAdmit(slot, req)) << i;
+  EXPECT_FALSE(gate.TryAdmit(slot, req));
+  EXPECT_EQ(gate.state().get(), cached);  // no re-read was needed
 }
 
 TEST(AdmissionPlaneTest, SnapshotPinsRemovedAdmitters) {
@@ -421,16 +468,61 @@ TEST(AdmissionPlaneTest, SnapshotPinsRemovedAdmitters) {
   EXPECT_TRUE(weak.expired());
 }
 
+/// A token bucket that counts what went through it, so a test can check
+/// conservation per bucket behind the plane: admits, Configure calls and
+/// the largest (rate, burst) it ever had. Configure runs on the plane's
+/// serialized control path only.
+class CountingBucketAdmitter final : public Admitter {
+ public:
+  CountingBucketAdmitter(double rate, double burst)
+      : bucket_(rate, burst), max_rate_(rate), max_burst_(burst) {}
+
+  bool TryAdmit(const AdmitRequest& req) override {
+    if (!bucket_.TryAdmit(req)) return false;
+    admitted_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  void Configure(double rate, double burst) override {
+    bucket_.Configure(rate, burst);
+    ++configures_;
+    max_rate_ = std::max(max_rate_, rate);
+    max_burst_ = std::max(max_burst_, burst);
+  }
+  double rate() const override { return bucket_.rate(); }
+  const char* kind() const override { return "counting_token_bucket"; }
+
+  /// Every reset can refill up to a whole burst, and a refill never runs
+  /// faster than the largest rate the bucket had, over `elapsed_s`.
+  double Bound(double elapsed_s) const {
+    return max_rate_ * elapsed_s +
+           max_burst_ * static_cast<double>(configures_ + 1);
+  }
+  std::uint64_t admitted() const {
+    return admitted_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  TokenBucketAdmitter bucket_;
+  std::atomic<std::uint64_t> admitted_{0};
+  std::uint64_t configures_ = 0;
+  double max_rate_;
+  double max_burst_;
+};
+
 TEST(AdmissionPlaneTest, ReconfigureWhileAdmittingAcrossThreads) {
   AdmissionPlane plane;
   constexpr int kSlots = 4;
+  // Every bucket the control thread ever registers, for the per-bucket
+  // conservation check once the workers are done.
+  std::vector<std::shared_ptr<CountingBucketAdmitter>> buckets;
   // Slot-id handoff between the control thread (which re-registers) and the
   // admit threads is itself concurrent, like a real gateway's routing table.
   std::array<std::atomic<int>, kSlots> slots;
   for (int i = 0; i < kSlots; ++i) {
+    buckets.push_back(std::make_shared<CountingBucketAdmitter>(1000.0, 16.0));
     slots[static_cast<std::size_t>(i)].store(
         plane.Register("svc", std::string("m").append(std::to_string(i)),
-                       std::make_shared<TokenBucketAdmitter>(1000.0, 16.0)),
+                       buckets.back()),
         std::memory_order_relaxed);
   }
   std::atomic<bool> stop{false};
@@ -451,18 +543,26 @@ TEST(AdmissionPlaneTest, ReconfigureWhileAdmittingAcrossThreads) {
     });
   }
   // Control thread: republish, remove and re-register while admits fly.
+  // Each round waits for 64 more admits, so every round lands while the
+  // workers run: a rate change is O(1), and an unpaced loop could finish
+  // before the first worker starts.
   Rng rng(4242);
+  std::uint64_t topology_changes = 0;
   for (int round = 0; round < 400; ++round) {
+    while (clock.load(std::memory_order_relaxed) < SimTime{64} * (round + 1)) {
+      std::this_thread::yield();
+    }
     const int i = static_cast<int>(rng.UniformInt(0, kSlots - 1));
     if (rng.Bernoulli(0.1)) {
       plane.Remove(slots[static_cast<std::size_t>(i)].load(
           std::memory_order_relaxed));
+      buckets.push_back(std::make_shared<CountingBucketAdmitter>(
+          rng.Uniform(10.0, 5000.0), 16.0));
       slots[static_cast<std::size_t>(i)].store(
-          plane.Register(
-              "svc", std::string("m").append(std::to_string(i)),
-              std::make_shared<TokenBucketAdmitter>(rng.Uniform(10.0, 5000.0),
-                                                    16.0)),
+          plane.Register("svc", std::string("m").append(std::to_string(i)),
+                         buckets.back()),
           std::memory_order_relaxed);
+      topology_changes += 2;
     } else {
       plane.Configure(slots[static_cast<std::size_t>(i)].load(
                           std::memory_order_relaxed),
@@ -471,9 +571,20 @@ TEST(AdmissionPlaneTest, ReconfigureWhileAdmittingAcrossThreads) {
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& w : workers) w.join();
+  const double elapsed_s = ToSeconds(clock.load());
+  std::uint64_t admitted = 0;
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    admitted += buckets[b]->admitted();
+    EXPECT_LE(static_cast<double>(buckets[b]->admitted()),
+              buckets[b]->Bound(elapsed_s) + 1e-6)
+        << "bucket " << b << " overdrew";
+  }
+  EXPECT_GT(admitted, 0u);
   const PlaneStats stats = plane.Stats();
   EXPECT_GT(stats.reconfigs_applied, 0u);
-  EXPECT_GT(stats.snapshots_published, 0u);
+  // The constructor's empty snapshot, the initial registrations and each
+  // Remove/Register pair; no Configure published anything.
+  EXPECT_EQ(stats.snapshots_published, 1u + kSlots + topology_changes);
 }
 
 // --- Hot-path hygiene --------------------------------------------------------
@@ -496,6 +607,24 @@ TEST(AdmitHotPathTest, SteadyStateAdmitDoesNotAllocate) {
       g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(allocs, 0u) << "the admit fast path allocated";
   EXPECT_GT(admitted, 0u);
+}
+
+TEST(AdmitHotPathTest, ConfigureDoesNotAllocate) {
+  AdmissionPlane plane;
+  const int slot = plane.Register(
+      "svc", "m", std::make_shared<TokenBucketAdmitter>(100.0, 10.0));
+  ASSERT_EQ(plane.Configure(slot, 100.0, 10.0), ConfigureResult::kApplied);
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 10'000; ++i) {
+    // Odd calls change the rate, even calls repeat it.
+    const double rate = 100.0 + static_cast<double>((i + 1) / 2);
+    (void)plane.Configure(slot, rate, 10.0);
+  }
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
+      << "a rate change allocated";
+  const PlaneStats stats = plane.Stats();
+  EXPECT_EQ(stats.reconfigs_applied, 1u + 5'000u);
+  EXPECT_EQ(stats.reconfigs_coalesced, 5'000u);
 }
 
 TEST(AdmitHotPathTest, RawBucketAdmitDoesNotAllocate) {

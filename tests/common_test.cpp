@@ -19,8 +19,8 @@
 #include "common/sim_time.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/token_bucket.hpp"
 #include "common/union_find.hpp"
+#include "support/token_bucket.hpp"
 
 namespace topfull {
 namespace {

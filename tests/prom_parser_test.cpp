@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "obs/metrics_registry.hpp"
 #include "obs/snapshot.hpp"
@@ -114,6 +115,31 @@ TEST(PromParserTest, PreservesValueLexemesAndNonFiniteForms) {
   EXPECT_EQ(obs::PromTextFromScrape(scrape), text);
 }
 
+// Every decimal spelling the format allows still parses, to the value
+// strtod gives it.
+TEST(PromParserTest, AcceptsEveryDecimalSpelling) {
+  const std::pair<const char*, double> cases[] = {
+      {"5", 5.0},       {"-5", -5.0},     {"+5", 5.0},   {"0.25", 0.25},
+      {"5.", 5.0},      {".5", 0.5},      {"1E3", 1e3},  {"-2.5e-3", -2.5e-3},
+      {"1e+18", 1e18},
+  };
+  for (const auto& [lexeme, want] : cases) {
+    obs::PromScrape scrape;
+    std::string error;
+    ASSERT_TRUE(obs::ParsePromText(
+        std::string("# TYPE v gauge\nv ") + lexeme + "\n", &scrape, &error))
+        << lexeme << ": " << error;
+    EXPECT_EQ(scrape.FindFamily("v")->samples[0].value, want) << lexeme;
+  }
+  for (const char* bad : {".", "-", "1e", "e5", "1.2.3", "Inf", "+NaN"}) {
+    obs::PromScrape scrape;
+    std::string error;
+    EXPECT_FALSE(obs::ParsePromText(
+        std::string("# TYPE v gauge\nv ") + bad + "\n", &scrape, &error))
+        << bad;
+  }
+}
+
 struct CorpusCase {
   const char* file;
   const char* expected;  ///< substring the error must contain
@@ -125,6 +151,12 @@ TEST(PromParserTest, MalformedCorpusIsRejectedWithLineNumbers) {
   const CorpusCase cases[] = {
       {"no_type.prom", "line 1: sample before # TYPE for 'x_total'"},
       {"bad_value.prom", "line 2: bad sample value 'one'"},
+      // strtod would take all four; the format allows only decimal numbers
+      // and the spelled NaN/+Inf/-Inf.
+      {"hex_value.prom", "line 2: bad sample value '0x1p3'"},
+      {"lowercase_inf.prom", "line 2: bad sample value 'inf'"},
+      {"lowercase_nan.prom", "line 2: bad sample value 'nan'"},
+      {"tab_before_value.prom", "line 2: bad sample value '\t5'"},
       {"unterminated_label.prom", "line 2: unterminated label value"},
       {"duplicate_type.prom", "line 2: duplicate # TYPE for 'x_total'"},
       {"type_after_samples.prom", "line 3: # TYPE after samples for 'x_total'"},

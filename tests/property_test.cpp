@@ -11,7 +11,6 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/token_bucket.hpp"
 #include "common/union_find.hpp"
 #include "core/cluster_tracker.hpp"
 #include "core/clustering.hpp"
@@ -23,6 +22,7 @@
 #include "rl/nn.hpp"
 #include "sim/app.hpp"
 #include "sim/request_observer.hpp"
+#include "support/token_bucket.hpp"
 #include "workload/generators.hpp"
 #include "workload/schedule.hpp"
 
