@@ -25,9 +25,12 @@
 // only), CAS-retry-bound rejects, and publishes (the storm's Configure
 // calls).
 //
-// Threads beyond the machine's cores oversubscribe; per-thread throughput
-// and the p99 then include scheduler preemption. CI gates each row against
-// a committed same-class-runner baseline with generous tolerance
+// A row's workers are spawned first and wait on a start latch; its clock
+// starts when the main thread opens the latch, so at t >= 2 every worker
+// admits while the others do. Threads beyond the machine's cores
+// oversubscribe; per-thread throughput and the p99 then include scheduler
+// preemption. CI gates each row against a committed baseline recorded on
+// a 4-core machine, with generous tolerance
 // (bench/baselines/BENCH_admit_throughput.json): >30 % ops/sec drop or a
 // >2x p99 blow-up fails, and the admit path must stay allocation-free.
 #include <algorithm>
@@ -37,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <new>
 #include <string>
@@ -98,15 +102,19 @@ struct Row {
 /// One worker's slice: `ops` admits against `fn(now)` with a private virtual
 /// microsecond clock (`step_us` per op — reading a shared clock would
 /// serialize the very threads we are measuring). Samples every 128th op.
+/// The worker reports `ready` once its buffers are set up and starts only
+/// when the main thread opens `start`, so every thread of a row runs at once.
 template <typename Fn>
-void Worker(Fn fn, std::uint64_t ops, SimTime step_us,
-            std::uint64_t* admitted_out, std::uint64_t* allocs_out,
-            std::vector<double>* samples_out) {
+void Worker(Fn fn, std::uint64_t ops, SimTime step_us, std::latch& ready,
+            std::latch& start, std::uint64_t* admitted_out,
+            std::uint64_t* allocs_out, std::vector<double>* samples_out) {
   std::vector<double> samples;
   samples.reserve(ops / kSamplePeriod + 1);
   const std::uint64_t allocs0 = t_allocs;
   std::uint64_t admitted = 0;
   SimTime now = 0;
+  ready.count_down();
+  start.wait();
   for (std::uint64_t i = 0; i < ops; ++i) {
     now += step_us;
     if ((i & (kSamplePeriod - 1)) == 0) {
@@ -148,18 +156,24 @@ Row RunCase(const std::string& name, int threads, std::uint64_t ops_per_thread,
   std::vector<std::uint64_t> allocs(static_cast<std::size_t>(threads), 0);
   std::vector<std::vector<double>> samples(static_cast<std::size_t>(threads));
   std::atomic<int> remaining{threads};
+  std::latch ready(threads);
+  std::latch start(1);
 
-  const auto t0 = Clock::now();
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t]() {
-      Worker(fn, ops_per_thread, step_us, &admitted[static_cast<std::size_t>(t)],
+      Worker(fn, ops_per_thread, step_us, ready, start,
+             &admitted[static_cast<std::size_t>(t)],
              &allocs[static_cast<std::size_t>(t)],
              &samples[static_cast<std::size_t>(t)]);
       remaining.fetch_sub(1, std::memory_order_relaxed);
     });
   }
+  // Time from the moment every worker is released, not from the first spawn.
+  ready.wait();
+  const auto t0 = Clock::now();
+  start.count_down();
   if (with_storm) {
     // The bench main thread plays the control thread until the last worker
     // reports in.

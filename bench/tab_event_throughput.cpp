@@ -8,6 +8,10 @@
 //                   timer that is cancelled long before it would fire
 //   timer_churn     pure DES: 64 connections re-arming a 1 s idle timeout
 //                   every 1 ms of activity
+//   timer_heap_200k pure DES at closed-loop scale: 200k connections, each
+//                   with a jittered activity timer and a 1 s idle timeout
+//                   rescheduled on every activity (400k pending events, a
+//                   heap far larger than L2)
 //
 // Allocations are counted by a global operator new hook, so run this binary
 // alone (single process, Release build) for meaningful numbers. Events are
@@ -335,6 +339,55 @@ Measurement RunTimerChurn() {
   return m;
 }
 
+Measurement RunTimerHeap200k() {
+  // Each activity fires after a jittered 50-150 ms, re-arms itself and
+  // pushes the connection's idle timeout 1 s out. The timeout never fires;
+  // it only moves, so the heap holds 400k events throughout.
+  constexpr std::uint32_t kConns = 200'000;
+  constexpr SimTime kIdleTimeout = Seconds(1);
+  struct Fleet {
+    des::Simulation sim;
+    std::vector<des::Simulation::TimerHandle> timeouts;
+    std::vector<std::uint32_t> epoch;
+    std::uint64_t expired = 0;
+
+    SimTime Jitter(std::uint32_t i) {
+      const std::uint64_t h =
+          (std::uint64_t{i} * 0x9E3779B97F4A7C15ull) ^ (++epoch[i] * 0xBF58476D1CE4E5B9ull);
+      return Millis(50) + static_cast<SimTime>((h >> 17) % 100'000);
+    }
+    void Activity(std::uint32_t i) {
+      sim.Reschedule(timeouts[i], sim.Now() + kIdleTimeout);
+      sim.ScheduleAfter(Jitter(i), [this, i]() { Activity(i); });
+    }
+  };
+  auto fleet = std::make_unique<Fleet>();
+  Fleet* f = fleet.get();
+  f->timeouts.resize(kConns);
+  f->epoch.assign(kConns, 0);
+  for (std::uint32_t i = 0; i < kConns; ++i) {
+    f->timeouts[i] = f->sim.ScheduleAt(kIdleTimeout, [f]() { ++f->expired; });
+    f->sim.ScheduleAt(f->Jitter(i), [f, i]() { f->Activity(i); });
+  }
+  des::Simulation& sim = f->sim;
+  sim.RunUntil(Seconds(1));
+  const std::uint64_t events0 = EngineEvents(sim);
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  const auto t0 = std::chrono::steady_clock::now();
+  sim.RunUntil(Seconds(3));
+  const auto t1 = std::chrono::steady_clock::now();
+  Measurement m;
+  m.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  m.events = EngineEvents(sim) - events0;
+  m.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
+  if (f->expired > 0 || sim.PendingEvents() != 2 * kConns) {
+    std::fprintf(stderr, "timer_heap_200k: %llu expirations, %zu pending\n",
+                 static_cast<unsigned long long>(f->expired),
+                 sim.PendingEvents());
+  }
+  return m;
+}
+
 /// Seed-engine numbers measured on the reference machine (Release, same
 /// workload code, events counted as all-fire which equals processed +
 /// cancelled for an engine without cancellation).
@@ -376,7 +429,8 @@ int main(int argc, char** argv) {
   const Case cases[] = {{"open_loop", RunOpenLoop},
                         {"deep_call_tree", RunDeepCallTree},
                         {"timeout_heavy", RunTimeoutHeavy},
-                        {"timer_churn", RunTimerChurn}};
+                        {"timer_churn", RunTimerChurn},
+                        {"timer_heap_200k", RunTimerHeap200k}};
   std::string json = "[\n";
   for (const auto& seed : kSeedRows) {
     AppendJsonRow(json, seed.name, "seed", 0, 0.0, seed.events_per_sec,

@@ -1,6 +1,7 @@
 #include "des/simulation.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace topfull::des {
@@ -9,12 +10,17 @@ namespace topfull::des {
 
 std::uint32_t Simulation::AllocSlot() {
   if (free_slots_.empty()) {
-    const auto base = static_cast<std::uint32_t>(slabs_.size() * kSlabSize);
+    const std::size_t base = slabs_.size() * kSlabSize;
+    if (base + kSlabSize > kSlotLimit) {
+      throw std::length_error(
+          "des::Simulation: more than 2^24 timer slots pending at once");
+    }
     slabs_.push_back(std::make_unique<Slot[]>(kSlabSize));
-    free_slots_.reserve(slabs_.size() * kSlabSize);
+    pos_.resize(base + kSlabSize);
+    free_slots_.reserve(base + kSlabSize);
     // Reverse order so slot ids are handed out ascending.
     for (std::size_t i = kSlabSize; i > 0; --i) {
-      free_slots_.push_back(base + static_cast<std::uint32_t>(i - 1));
+      free_slots_.push_back(static_cast<std::uint32_t>(base + i - 1));
     }
   }
   const std::uint32_t id = free_slots_.back();
@@ -35,74 +41,89 @@ std::uint32_t Simulation::Resolve(TimerHandle handle) const {
   return SlotAt(handle.slot).gen == handle.gen ? handle.slot : kNoSlot;
 }
 
-// --- 4-ary indexed heap ------------------------------------------------------
+std::uint64_t Simulation::TakeSeq() {
+  if (next_seq_ >= kSeqLimit) {
+    throw std::length_error(
+        "des::Simulation: event sequence number reached 2^40");
+  }
+  return next_seq_++;
+}
+
+// --- 4-ary heap of keys ------------------------------------------------------
+//
+// Indices are positions in keys_: the root is kRoot, the parent of i is
+// i/4 + 2 and its children are 4(i-2)..4(i-2)+3, one aligned line.
 
 void Simulation::SiftUp(std::uint32_t pos) {
-  const std::uint32_t id = heap_[pos];
-  const Slot& s = SlotAt(id);
-  while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) >> 2;
-    const std::uint32_t parent_id = heap_[parent];
-    if (!Earlier(s, SlotAt(parent_id))) break;
-    heap_[pos] = parent_id;
-    SlotAt(parent_id).heap_pos = pos;
+  Key* const h = keys_.data();
+  const Key key = h[pos];
+  while (pos > kRoot) {
+    const std::uint32_t parent = (pos >> 2) + 2;
+    if (!Earlier(key, h[parent])) break;
+    h[pos] = h[parent];
+    pos_[SlotOf(h[pos])] = pos;
     pos = parent;
   }
-  heap_[pos] = id;
-  SlotAt(id).heap_pos = pos;
+  h[pos] = key;
+  pos_[SlotOf(key)] = pos;
 }
 
 void Simulation::SiftDown(std::uint32_t pos) {
-  const auto n = static_cast<std::uint32_t>(heap_.size());
-  const std::uint32_t id = heap_[pos];
-  const Slot& s = SlotAt(id);
+  Key* const h = keys_.data();
+  const auto n = static_cast<std::uint32_t>(keys_.size());
+  const Key key = h[pos];
   while (true) {
-    const std::uint32_t first_child = (pos << 2) + 1;
-    if (first_child >= n) break;
-    std::uint32_t best = first_child;
-    const std::uint32_t last_child = first_child + 3 < n ? first_child + 3 : n - 1;
-    for (std::uint32_t c = first_child + 1; c <= last_child; ++c) {
-      if (Earlier(SlotAt(heap_[c]), SlotAt(heap_[best]))) best = c;
+    const std::uint32_t first = (pos - 2) << 2;
+    if (first >= n) break;
+    std::uint32_t best;
+    if (first + 3 < n) {
+      // Full group: a two-round tournament over one cache line.
+      const std::uint32_t a = Earlier(h[first + 1], h[first]) ? first + 1 : first;
+      const std::uint32_t b = Earlier(h[first + 3], h[first + 2]) ? first + 3 : first + 2;
+      best = Earlier(h[b], h[a]) ? b : a;
+    } else {
+      best = first;
+      for (std::uint32_t c = first + 1; c < n; ++c) {
+        if (Earlier(h[c], h[best])) best = c;
+      }
     }
-    const std::uint32_t best_id = heap_[best];
-    if (!Earlier(SlotAt(best_id), s)) break;
-    heap_[pos] = best_id;
-    SlotAt(best_id).heap_pos = pos;
+    if (!Earlier(h[best], key)) break;
+    h[pos] = h[best];
+    pos_[SlotOf(h[pos])] = pos;
     pos = best;
   }
-  heap_[pos] = id;
-  SlotAt(id).heap_pos = pos;
+  h[pos] = key;
+  pos_[SlotOf(key)] = pos;
 }
 
-void Simulation::HeapPush(std::uint32_t id) {
-  heap_.push_back(id);
-  SlotAt(id).heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  SiftUp(SlotAt(id).heap_pos);
+void Simulation::HeapPush(Key key) {
+  keys_.push_back(key);
+  SiftUp(static_cast<std::uint32_t>(keys_.size() - 1));
 }
 
 void Simulation::HeapRemove(std::uint32_t pos) {
-  const std::uint32_t last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;  // removed the tail
-  heap_[pos] = last;
-  SlotAt(last).heap_pos = pos;
-  // The swapped-in tail may order either way relative to the hole's
-  // neighbourhood; one of the two sifts is a no-op.
-  SiftUp(pos);
-  SiftDown(SlotAt(last).heap_pos);
+  const Key last = keys_.back();
+  keys_.pop_back();
+  if (pos == keys_.size()) return;  // removed the tail
+  // The tail key may order either way relative to the hole's parent.
+  keys_[pos] = last;
+  if (pos > kRoot && Earlier(last, keys_[(pos >> 2) + 2])) {
+    SiftUp(pos);
+  } else {
+    SiftDown(pos);
+  }
 }
 
 // --- Scheduling --------------------------------------------------------------
 
 Simulation::TimerHandle Simulation::ScheduleAt(SimTime when, Callback fn) {
   assert(when >= now_ && "cannot schedule in the past");
+  const std::uint64_t seq = TakeSeq();
   const std::uint32_t id = AllocSlot();
   Slot& s = SlotAt(id);
-  s.when = when < now_ ? now_ : when;
-  s.seq = next_seq_++;
   s.period = 0;
   s.fn = std::move(fn);
-  HeapPush(id);
+  HeapPush(Key{when < now_ ? now_ : when, seq << kSlotBits | id});
   ++events_scheduled_;
   return TimerHandle{id, s.gen};
 }
@@ -126,7 +147,7 @@ bool Simulation::Cancel(TimerHandle handle) {
     ++events_cancelled_;
     return true;
   }
-  HeapRemove(SlotAt(id).heap_pos);
+  HeapRemove(pos_[id]);
   FreeSlot(id);
   ++events_cancelled_;
   return true;
@@ -135,27 +156,33 @@ bool Simulation::Cancel(TimerHandle handle) {
 bool Simulation::Reschedule(TimerHandle handle, SimTime when) {
   const std::uint32_t id = Resolve(handle);
   if (id == kNoSlot || id == running_slot_) return false;
-  Slot& s = SlotAt(id);
-  s.when = when < now_ ? now_ : when;
-  s.seq = next_seq_++;  // same tie-break position as cancel + re-schedule
-  SiftUp(s.heap_pos);
-  SiftDown(s.heap_pos);
+  const std::uint32_t pos = pos_[id];
+  Key& key = keys_[pos];
+  const Key moved{when < now_ ? now_ : when,
+                  TakeSeq() << kSlotBits | id};  // as cancel + re-schedule
+  const bool earlier = Earlier(moved, key);
+  key = moved;
+  if (earlier) {
+    SiftUp(pos);
+  } else {
+    SiftDown(pos);
+  }
   return true;
 }
 
 // --- Execution ---------------------------------------------------------------
 
 void Simulation::RunFront() {
-  const std::uint32_t id = heap_[0];
+  const std::uint32_t id = SlotOf(keys_[kRoot]);
   Slot& s = SlotAt(id);
-  now_ = s.when;
+  now_ = keys_[kRoot].when;
   ++events_processed_;
   if (s.period == 0) {
     // One-shot: free the slot before running so the callback can observe a
     // consistent queue (its own handle is already dead, like the old
     // pop-then-run engine).
     InlineEvent fn = std::move(s.fn);
-    HeapRemove(0);
+    HeapRemove(kRoot);
     FreeSlot(id);
     fn();
     return;
@@ -169,23 +196,23 @@ void Simulation::RunFront() {
   running_slot_ = kNoSlot;
   if (running_cancelled_) {
     running_cancelled_ = false;
-    HeapRemove(s.heap_pos);
+    HeapRemove(pos_[id]);
     FreeSlot(id);
     return;
   }
-  s.when = now_ + s.period;
-  s.seq = next_seq_++;
+  const std::uint32_t pos = pos_[id];
+  keys_[pos] = Key{now_ + s.period, TakeSeq() << kSlotBits | id};
   // Only sift down: the re-armed event moved later in (when, seq) order.
-  SiftDown(s.heap_pos);
+  SiftDown(pos);
 }
 
 void Simulation::RunUntil(SimTime end) {
-  while (!heap_.empty() && SlotAt(heap_[0]).when <= end) RunFront();
+  while (keys_.size() > kRoot && keys_[kRoot].when <= end) RunFront();
   if (now_ < end) now_ = end;
 }
 
 bool Simulation::Step() {
-  if (heap_.empty()) return false;
+  if (keys_.size() == kRoot) return false;
   RunFront();
   return true;
 }
@@ -194,14 +221,17 @@ bool Simulation::Step() {
 
 bool Simulation::CheckHeapInvariant() const {
   const std::size_t total = slabs_.size() * kSlabSize;
-  if (heap_.size() + free_slots_.size() != total) return false;
-  for (std::uint32_t pos = 0; pos < heap_.size(); ++pos) {
-    const std::uint32_t id = heap_[pos];
+  if (keys_.size() < kRoot) return false;
+  if (PendingEvents() + free_slots_.size() != total) return false;
+  if (pos_.size() != total) return false;
+  if (reinterpret_cast<std::uintptr_t>(keys_.data()) % 64 != 0) return false;
+  for (std::uint32_t pos = kRoot; pos < keys_.size(); ++pos) {
+    const Key& key = keys_[pos];
+    const std::uint32_t id = SlotOf(key);
     if (id >= total) return false;
-    const Slot& s = SlotAt(id);
-    if (s.heap_pos != pos) return false;
-    if (!s.fn) return false;
-    if (pos > 0 && Earlier(s, SlotAt(heap_[(pos - 1) >> 2]))) return false;
+    if (pos_[id] != pos) return false;
+    if (!SlotAt(id).fn) return false;
+    if (pos > kRoot && Earlier(key, keys_[(pos >> 2) + 2])) return false;
   }
   return true;
 }

@@ -6,19 +6,25 @@
 // design — determinism and reproducibility outrank parallel speed for the
 // reproduction experiments.
 //
-// The queue is an indexed 4-ary heap over stable slot storage: every
-// scheduled event has a pool slot whose address never moves, and the heap
-// orders slot ids by (when, seq). That indirection is what buys O(log n)
+// Every scheduled event has a pool slot whose address never moves (the
+// callback lives there), and the queue is a 4-ary min-heap of 16-byte keys
+// {when, seq << 24 | slot}. Sifting compares keys only and never touches
+// slot storage: the heap array is 64-byte aligned and offset so the four
+// children of a node fill one cache line, and each slot's heap position
+// lives in a dense array beside the slots. Positions buy O(log n)
 // cancellation — ScheduleAt returns a generation-counted TimerHandle, and
-// Cancel/Reschedule locate the slot through its back-pointer instead of
+// Cancel/Reschedule find the key through its slot's position instead of
 // leaving a dead event to fire as a no-op. Callbacks are InlineEvents
 // (fixed inline storage, no heap), so scheduling costs zero allocations
-// once the slot pool and heap have reached their high-water marks.
+// once the slot pool and heap have reached their high-water marks. Slot
+// ids stay below 2^24 and sequence numbers below 2^40; passing either
+// limit throws std::length_error.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "common/inline_function.hpp"
@@ -44,6 +50,8 @@ class Simulation {
     std::uint32_t gen = 0;
     bool valid() const { return slot != 0xffffffffu; }
   };
+
+  Simulation() : keys_(kRoot) {}
 
   /// Current simulation time.
   SimTime Now() const { return now_; }
@@ -94,7 +102,7 @@ class Simulation {
   std::uint64_t EventsScheduled() const { return events_scheduled_; }
 
   /// Pending event count (for tests).
-  std::size_t PendingEvents() const { return heap_.size(); }
+  std::size_t PendingEvents() const { return keys_.size() - kRoot; }
 
   /// Timer slot slab pool occupancy (for the live telemetry plane): total
   /// slots ever carved from slabs, and how many are currently on the free
@@ -102,20 +110,51 @@ class Simulation {
   std::size_t SlotCapacity() const { return slabs_.size() * kSlabSize; }
   std::size_t SlotsFree() const { return free_slots_.size(); }
 
-  /// Verifies the 4-ary heap order, the slot back-pointers, and the
-  /// free-list accounting. O(n); for tests.
+  /// Verifies the 4-ary heap order, the key array's alignment, the slot
+  /// positions, and the free-list accounting. O(n); for tests.
   bool CheckHeapInvariant() const;
 
  private:
+  friend struct SimulationTestPeer;  ///< tests drive the engine to its limits
+
   struct Slot {
-    SimTime when = 0;
-    std::uint64_t seq = 0;
     SimTime period = 0;  ///< 0 = one-shot
-    std::uint32_t heap_pos = 0;
     std::uint32_t gen = 0;
     InlineEvent fn;
   };
 
+  /// Heap entry. `order` = seq << kSlotBits | slot; seq is unique, so
+  /// ordering by (when, order) is exactly (when, seq) order.
+  struct Key {
+    SimTime when;
+    std::uint64_t order;
+  };
+  static_assert(sizeof(Key) == 16, "four keys per 64-byte line");
+
+  /// Allocator that hands out 64-byte-aligned storage, so the key array
+  /// starts on a cache-line boundary.
+  template <typename T>
+  struct LineAllocator {
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+    LineAllocator() = default;
+    template <typename U>
+    LineAllocator(const LineAllocator<U>&) {}
+    T* allocate(std::size_t n) {
+      return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T* p, std::size_t) { ::operator delete(p, kAlign); }
+    template <typename U>
+    bool operator==(const LineAllocator<U>&) const { return true; }
+  };
+
+  static constexpr std::uint32_t kSlotBits = 24;
+  static constexpr std::uint64_t kSlotLimit = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 40;
+  /// Index of the root in keys_. Positions 0..2 are padding, so the
+  /// children of node i, at 4(i-2)..4(i-2)+3, start on a multiple of 4:
+  /// one aligned cache line.
+  static constexpr std::uint32_t kRoot = 3;
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   static constexpr std::size_t kSlabShift = 8;  ///< 256 slots per slab
   static constexpr std::size_t kSlabSize = std::size_t{1} << kSlabShift;
@@ -132,11 +171,15 @@ class Simulation {
   /// Resolves a handle to a live slot id, or kNoSlot when stale.
   std::uint32_t Resolve(TimerHandle handle) const;
 
-  static bool Earlier(const Slot& a, const Slot& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
+  /// Hands out the next sequence number; throws std::length_error at 2^40.
+  std::uint64_t TakeSeq();
+  static std::uint32_t SlotOf(const Key& k) {
+    return static_cast<std::uint32_t>(k.order & (kSlotLimit - 1));
   }
-  void HeapPush(std::uint32_t id);
+  static bool Earlier(const Key& a, const Key& b) {
+    return a.when < b.when || (a.when == b.when && a.order < b.order);
+  }
+  void HeapPush(Key key);
   void HeapRemove(std::uint32_t pos);
   void SiftUp(std::uint32_t pos);
   void SiftDown(std::uint32_t pos);
@@ -151,7 +194,9 @@ class Simulation {
   std::uint64_t events_scheduled_ = 0;
   std::vector<std::unique_ptr<Slot[]>> slabs_;  ///< stable slot storage
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> heap_;  ///< slot ids, 4-ary min-heap order
+  /// 4-ary min-heap of keys, root at kRoot; 64-byte aligned.
+  std::vector<Key, LineAllocator<Key>> keys_;
+  std::vector<std::uint32_t> pos_;  ///< slot id -> index in keys_
   /// Slot id of the periodic event currently executing (kNoSlot otherwise);
   /// lets Cancel/Reschedule from inside the callback interact with the
   /// re-arm correctly.
